@@ -9,6 +9,7 @@ package fabp
 // so `go test -bench` output doubles as the reproduction log.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -206,10 +207,9 @@ func BenchmarkBatchAlign(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiQueryScan compares the seed serial batch path (one query
-// at a time, planes repacked per call) against the sharded scheduler with
-// the shared plane cache. The "sharded" case is the acceptance target:
-// ≥2× over "serial" on ≥4 cores.
+// BenchmarkMultiQueryScan compares K independent single-query Scan calls
+// (the unfused baseline: K passes over the cached planes) against the
+// fused batch, which reads each reference tile once for all K queries.
 func BenchmarkMultiQueryScan(b *testing.B) {
 	ref, genes := SyntheticReference(11, 2_000_000, 8, 50)
 	var queries []*Query
@@ -220,19 +220,17 @@ func BenchmarkMultiQueryScan(b *testing.B) {
 		}
 		queries = append(queries, q)
 	}
-	b.Run("serial", func(b *testing.B) {
+	b.Run("per_query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			hits, err := alignBatchBitparSerial(queries, ref, 0.9)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(hits) != len(queries) {
-				b.Fatal("batch shape")
+			for _, q := range queries {
+				if _, err := Scan(context.Background(), ScanRequest{Query: q, Reference: ref, ThresholdFrac: 0.9, NoCache: true}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		b.SetBytes(int64(len(queries)) * int64(ref.Len()) / 4)
 	})
-	b.Run("sharded", func(b *testing.B) {
+	b.Run("fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			hits, err := AlignBatch(queries, ref, 0.9)
 			if err != nil {

@@ -87,6 +87,31 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 		t.Fatal("oracle found no hits; chaos conformance is vacuous")
 	}
 
+	// Single-query stream oracle: a stream long enough that its 1 M-letter
+	// chunks span several default-size shards, scanned fault-free.
+	bigRef, bigGenes := SyntheticReference(78, 1_300_000, 4, 25)
+	bigText := bigRef.String()
+	sq, err := NewQuery(bigGenes[0].Protein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa := mustConformAligner(t, sq, WithThresholdFraction(0.7), WithRetryPolicy(chaosRetryPolicy))
+	streamAll := func() ([]Hit, error) {
+		var hits []Hit
+		err := sa.AlignStream(strings.NewReader(bigText), func(h Hit) error {
+			hits = append(hits, h)
+			return nil
+		})
+		return hits, err
+	}
+	wantStream, err := streamAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantStream) == 0 || streamChunkLetters <= sched.DefaultShardLen {
+		t.Fatal("stream oracle found no hits or fits one shard; the stream arm is vacuous")
+	}
+
 	// Seeded chaos: transient shard-dispatch failures (KeyLimit under the
 	// retry budget, so every shard recovers), merge stalls, eviction
 	// storms on the plane cache, and stream-read faults.
@@ -151,6 +176,21 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 	}
 	if DefaultMetrics().Snapshot().Counters["scan.retries"] == 0 {
 		t.Fatal("no retries recorded; injected failures were not absorbed by the retry layer")
+	}
+
+	// Path 5: a single-query stream under the aligner's own retry policy,
+	// with every shard's first dispatch failing. The stream's shards must
+	// pass the dispatch hook and recover to the fault-free hits.
+	faultinject.Enable(99, faultinject.Plan{
+		faultinject.SiteShardDispatch: {Prob: 1, KeyLimit: 1, Fail: true},
+	})
+	gotStream, err := streamAll()
+	if err != nil {
+		t.Fatalf("AlignStream under dispatch faults: %v", err)
+	}
+	assertHitsEqual(t, "chaos AlignStream", wantStream, gotStream)
+	if faultinject.Fired(faultinject.SiteShardDispatch) == 0 {
+		t.Fatal("stream shards never reached the dispatch hook; the aligner's policy does not cover them")
 	}
 
 	faultinject.Disable()

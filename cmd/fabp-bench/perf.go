@@ -191,8 +191,19 @@ func runPerf(outDir string, scale, batchN int, cacheOn bool) {
 			}
 		}
 		configs = append(configs,
+			// The unfused baseline: K independent uncached Scan calls, each
+			// a full pass over the reference's planes.
 			benchCfg{"batch_per_query", batchN * reps, func() int {
-				return countBatch(fabp.AlignBatchPerQuery(batchQs, ref, 0.85))
+				hits := 0
+				for _, q := range batchQs {
+					res, err := fabp.Scan(context.Background(), fabp.ScanRequest{
+						Query: q, Reference: ref, ThresholdFrac: 0.85, NoCache: true})
+					if err != nil {
+						log.Fatal(err)
+					}
+					hits += len(res.Hits)
+				}
+				return hits
 			}},
 			benchCfg{"batch_fused", batchN * reps, func() int {
 				return countBatch(fabp.AlignBatch(batchQs, ref, 0.85))

@@ -202,14 +202,14 @@ func (r *slowReader) Read(p []byte) (int, error) {
 
 // TestAlignStreamContextDeadlineSlowReader checks the chunk-boundary
 // checkpoint of the streaming scan: a reader that trickles bytes cannot
-// pin the scan past its deadline, for both the chunked bit-parallel path
-// and the scalar engine's reader.
+// pin the scan past its deadline, under every kernel selection that
+// streams.
 func TestAlignStreamContextDeadlineSlowReader(t *testing.T) {
 	q, err := fabp.NewQuery("MKWVTFISLLFLFSSAYS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kernel := range []fabp.Kernel{fabp.KernelBitParallel, fabp.KernelScalar} {
+	for _, kernel := range []fabp.Kernel{fabp.KernelBitParallel, fabp.KernelAuto} {
 		m := fabp.NewMetrics()
 		a, err := fabp.NewAligner(q, fabp.WithTelemetry(m), fabp.WithKernelType(kernel))
 		if err != nil {
@@ -233,10 +233,10 @@ func TestAlignStreamContextDeadlineSlowReader(t *testing.T) {
 	}
 }
 
-// TestAlignContextMatchesAlign proves the cancelable sharded path of
-// AlignContext is bit-exact with the single-pass Align for both kernels
-// (a cancelable-but-never-canceled context must change nothing but the
-// execution plan).
+// TestAlignContextMatchesAlign proves AlignContext under a cancelable
+// context is bit-exact with Align under the background context for both
+// kernels (a cancelable-but-never-canceled context adds checkpoints and
+// must change nothing else).
 func TestAlignContextMatchesAlign(t *testing.T) {
 	ref, genes := fabp.SyntheticReference(23, 150_000, 3, 30)
 	q, err := fabp.NewQuery(genes[1].Protein)
@@ -256,7 +256,7 @@ func TestAlignContextMatchesAlign(t *testing.T) {
 			t.Fatalf("kernel %v: AlignContext = %v", kernel, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("kernel %v: sharded path %d hits, single-pass %d", kernel, len(got), len(want))
+			t.Fatalf("kernel %v: cancelable scan %d hits, background %d", kernel, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {

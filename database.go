@@ -2,7 +2,6 @@ package fabp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -267,65 +266,43 @@ func planesForReference(ref *Reference) *bitpar.Planes {
 	})
 }
 
-// bitparToCore converts kernel hits to the engine's hit type.
-func bitparToCore(raw []bitpar.Hit) []core.Hit {
-	if len(raw) == 0 {
-		return nil
+// targetScan builds this aligner's shard-scan function over one target of
+// n nucleotides — the closure scans window starts [lo, hi), and every
+// shard reads one shared representation, so each gets its shardLen + Lq−1
+// overlap for free. The default is the fused kernel at K=1 over the
+// target's packed planes; KernelScalar, the oracle selection, scores with
+// the scalar engine over one context array built from seq instead.
+// starts is 0 when the target is shorter than the query.
+func (a *Aligner) targetScan(n int, planes func() *bitpar.Planes, seq func() bio.NucSeq) (scan func(lo, hi int) []core.Hit, starts int) {
+	starts = n - a.query.Elements() + 1
+	if starts <= 0 {
+		return nil, 0
 	}
-	hits := make([]core.Hit, len(raw))
-	for i, h := range raw {
-		hits[i] = core.Hit{Pos: h.Pos, Score: h.Score}
+	if a.mode == KernelScalar {
+		a.tm.kernelScalar.Inc()
+		ctxs := core.Contexts(seq())
+		return func(lo, hi int) []core.Hit {
+			return a.engine.AlignContexts(ctxs, lo, hi)
+		}, starts
 	}
-	return hits
+	a.tm.kernelBitpar.Inc()
+	a.tm.planeLookups.Inc()
+	pp := planes()
+	return func(lo, hi int) []core.Hit {
+		return a.bk.AlignPlanesRange(pp, lo, hi, nil)[0]
+	}, starts
 }
 
-// databaseScan builds the shard-scan function for this aligner over the
-// database — the closure scans window starts [lo, hi) under the selected
-// kernel, reading a shared packed representation (cached bit-planes for
-// the bit-parallel kernel, one context array for the scalar engine) so
-// every shard gets its shardLen + Lq−1 overlap for free. starts is 0 when
-// the database is shorter than the query.
+// databaseScan is targetScan over a database's cached planes.
 func (a *Aligner) databaseScan(d *Database) (scan func(lo, hi int) []core.Hit, starts int) {
-	starts = d.Len() - a.query.Elements() + 1
-	if starts <= 0 {
-		return nil, 0
-	}
-	a.tm.kernelChosen(a.useBitpar(d.Len()))
-	if a.useBitpar(d.Len()) {
-		a.tm.planeLookups.Inc()
-		planes := d.planes()
-		return func(lo, hi int) []core.Hit {
-			return bitparToCore(a.kernel.AlignPlanesRange(planes, lo, hi))
-		}, starts
-	}
-	ctxs := core.Contexts(d.d.Seq())
-	return func(lo, hi int) []core.Hit {
-		return a.engine.AlignContexts(ctxs, lo, hi)
-	}, starts
+	return a.targetScan(d.Len(), d.planes, d.d.Seq)
 }
 
-// referenceScan builds the shard-scan function for this aligner over a
-// standalone reference — the same shape as databaseScan, used by
-// AlignContext when the scan must be cancelable shard by shard. The
-// bit-parallel path reads the reference's cached planes; the scalar path
-// shares one context array.
+// referenceScan is targetScan over a standalone reference's cached planes.
 func (a *Aligner) referenceScan(ref *Reference) (scan func(lo, hi int) []core.Hit, starts int) {
-	starts = ref.Len() - a.query.Elements() + 1
-	if starts <= 0 {
-		return nil, 0
-	}
-	a.tm.kernelChosen(a.useBitpar(ref.Len()))
-	if a.useBitpar(ref.Len()) {
-		a.tm.planeLookups.Inc()
-		planes := planesForReference(ref)
-		return func(lo, hi int) []core.Hit {
-			return bitparToCore(a.kernel.AlignPlanesRange(planes, lo, hi))
-		}, starts
-	}
-	ctxs := core.Contexts(ref.seq)
-	return func(lo, hi int) []core.Hit {
-		return a.engine.AlignContexts(ctxs, lo, hi)
-	}, starts
+	return a.targetScan(ref.Len(),
+		func() *bitpar.Planes { return planesForReference(ref) },
+		func() bio.NucSeq { return ref.seq })
 }
 
 // instrumentShard wraps a shard-scan function so each execution records
@@ -338,6 +315,25 @@ func instrumentShard(tm *alignerMetrics, scan func(lo, hi int) []core.Hit) func(
 		tm.shardsRun.Inc()
 		return hits
 	}
+}
+
+// runScan executes a built shard scan (nil for a target shorter than the
+// query) and sorts its outcome: hits plus a *PartialError on degraded
+// completion, or a failure — recorded on the cancel/deadline counters —
+// as err.
+func (a *Aligner) runScan(ctx context.Context, scan func(lo, hi int) []core.Hit, starts int) (raw []core.Hit, perr, err error) {
+	if scan == nil {
+		return nil, nil, nil
+	}
+	raw, err = a.scanShardsCtx(ctx, starts, scan)
+	if _, ok := asPartial(err); ok {
+		return raw, err, nil
+	}
+	if err != nil {
+		a.tm.recordCtxErr(err)
+		return nil, nil, err
+	}
+	return raw, nil, nil
 }
 
 // scanShardsCtx executes a scan function over the shard plan on the
@@ -402,19 +398,9 @@ func (a *Aligner) executeDatabaseScan(ctx context.Context, d *Database) (*ScanRe
 		return nil, err
 	}
 	scan, starts := a.databaseScan(d)
-	var raw []core.Hit
-	var perr error
-	if scan != nil {
-		var err error
-		raw, err = a.scanShardsCtx(ctx, starts, scan)
-		if err != nil {
-			var pe *PartialError
-			if !errors.As(err, &pe) {
-				a.tm.recordCtxErr(err)
-				return nil, err
-			}
-			perr = err // degraded completion: surviving hits + *PartialError
-		}
+	raw, perr, err := a.runScan(ctx, scan, starts)
+	if err != nil {
+		return nil, err
 	}
 	hits := toRecordHits(d.d.Attribute(raw, a.query.Elements()))
 	a.tm.hits.Add(uint64(len(hits)))
@@ -510,118 +496,34 @@ type Session struct {
 
 // NewSession creates a session on the paper's default platform (Kintex-7
 // card, PCIe Gen3 x8, 8 GB card DRAM) with the database loaded. Hit
-// computation runs on the sharded scan path with the shared plane cache,
-// so the database is packed once and reused across queries and RunBatch
-// calls; batches take the fused path (every reference tile scanned once
-// for the whole batch); timing follows the paper's protocol unchanged.
+// computation runs the fused kernel on the sharded scan path with the
+// shared plane cache — K=1 for Run, the whole batch per reference tile
+// for RunBatch — so the database is packed once and reused across calls;
+// timing follows the paper's protocol unchanged.
 func NewSession(d *Database) (*Session, error) {
 	s := host.NewSession(host.DefaultPlatform())
 	if _, err := s.LoadDatabase(d.d.Seq()); err != nil {
 		return nil, err
 	}
-	sess := &Session{s: s, d: d}
-	s.SetAlignFunc(sess.scan)
-	s.SetBatchAlignFunc(sess.scanBatch)
-	return sess, nil
-}
-
-// scan computes one query's hits against the resident database: sharded
-// bit-parallel scan over the cached planes for large databases, sharded
-// scalar scan below the crossover — the same auto rule as the Aligner, and
-// bit-exact with the host's built-in engine. Cancellation is checked
-// between shards; an abort returns ctx.Err() and is recorded on the
-// process-wide align.canceled / align.deadline.exceeded counters.
-func (s *Session) scan(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
-	starts := s.d.Len() - len(prog) + 1
-	if starts <= 0 {
-		return nil, nil
-	}
-	tm := &defaultAlignerTM
-	tm.queries.Inc()
-	shards := sched.Plan(starts, 0)
-	tm.shardsPlanned.Add(uint64(len(shards)))
-	var scan func(lo, hi int) []core.Hit
-	tm.kernelChosen(s.d.Len() >= bitParThresholdLen)
-	if s.d.Len() >= bitParThresholdLen {
-		k, err := bitpar.NewKernel(prog, threshold)
+	s.SetAlignFunc(func(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
+		hits, err := scanBatchDatabase(ctx, d, []isa.Program{prog}, []int{threshold})
 		if err != nil {
 			return nil, err
 		}
-		tm.planeLookups.Inc()
-		planes := s.d.planes()
-		scan = func(lo, hi int) []core.Hit {
-			return bitparToCore(k.AlignPlanesRange(planes, lo, hi))
-		}
-	} else {
-		e, err := core.NewEngine(prog, threshold)
-		if err != nil {
-			return nil, err
-		}
-		ctxs := core.Contexts(s.d.d.Seq())
-		scan = func(lo, hi int) []core.Hit {
-			return e.AlignContexts(ctxs, lo, hi)
-		}
-	}
-	scan = instrumentShard(tm, scan)
-	var hits []core.Hit
-	var err error
-	if rp := currentBatchRetryPolicy(); rp.enabled() || faultinject.Enabled() {
-		hits, err = gatherShardsResilient(ctx, sched.Shared(), rp, false, tm, shards, scan)
-	} else {
-		hits, err = sched.GatherCtx(ctx, sched.Shared(), len(shards), func(i int) []core.Hit {
-			return scan(shards[i].Lo, shards[i].Hi)
-		})
-	}
-	if err != nil {
-		tm.recordCtxErr(err)
-		return nil, err
-	}
-	tm.hits.Add(uint64(len(hits)))
-	return hits, nil
-}
-
-// scanBatch computes a whole batch's hits against the resident database
-// in one fused pass — the host.BatchAlignFunc hook installed by
-// NewSession, replacing the per-query rescan loop. Large databases run
-// the fused bit-parallel batch kernel over the cached planes; below the
-// crossover the scalar batch engine shares one context array. Bit-exact
-// with the per-query scan either way.
-func (s *Session) scanBatch(ctx context.Context, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
-	return scanBatchDatabase(ctx, s.d, progs, thresholds)
+		return hits[0], nil
+	})
+	s.SetBatchAlignFunc(func(ctx context.Context, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
+		return scanBatchDatabase(ctx, d, progs, thresholds)
+	})
+	return &Session{s: s, d: d}, nil
 }
 
 // scanBatchDatabase is the database-level fused batch scan shared by
-// Session.scanBatch and AlignDatabaseBatchContext.
+// Session and AlignDatabaseBatchContext: every query scores from one pass
+// over the database's cached planes per tile.
 func scanBatchDatabase(ctx context.Context, d *Database, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
-	tm := &defaultAlignerTM
-	if d.Len() >= bitParThresholdLen {
-		tm.planeLookups.Inc()
-		raw, err := alignBatchFused(ctx, progs, thresholds, d.planes(), 0)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]core.Hit, len(raw))
-		for i, hits := range raw {
-			out[i] = bitparToCore(hits)
-		}
-		return out, nil
-	}
-	if err := ctx.Err(); err != nil {
-		tm.recordCtxErr(err)
-		return nil, err
-	}
-	batch, err := core.NewBatch(progs, thresholds)
-	if err != nil {
-		return nil, err
-	}
-	tm.queries.Add(uint64(len(progs)))
-	tm.batchQueries.Add(uint64(len(progs)))
-	tm.kernelScalar.Add(uint64(len(progs)))
-	perQuery := batch.Align(d.d.Seq())
-	for _, hits := range perQuery {
-		tm.hits.Add(uint64(len(hits)))
-	}
-	return perQuery, nil
+	defaultAlignerTM.planeLookups.Inc()
+	return alignBatchFused(ctx, progs, thresholds, d.planes(), 0)
 }
 
 // QueryTiming decomposes one query's projected end-to-end time in seconds.
@@ -666,9 +568,9 @@ func (s *Session) RunBatch(queries []*Query, thresholdFrac float64) ([][]RecordH
 	return s.RunBatchContext(context.Background(), queries, thresholdFrac)
 }
 
-// RunBatchContext is RunBatch under a context: cancellation is checked
-// between queries and between shards within each query's scan, so an
-// aborted batch returns ctx.Err() without scanning the remaining queries.
+// RunBatchContext is RunBatch under a context: the fused scan checks
+// cancellation between shards for the whole batch at once, so an aborted
+// batch returns ctx.Err() without scanning the remaining shards.
 func (s *Session) RunBatchContext(ctx context.Context, queries []*Query, thresholdFrac float64) ([][]RecordHit, float64, error) {
 	progs, err := batchPrograms(queries)
 	if err != nil {
@@ -733,7 +635,7 @@ func batchKernelInputs(queries []*Query, thresholdFrac float64) ([]isa.Program, 
 	return progs, thresholds, nil
 }
 
-// alignBatchFused is the fused large-reference batch scan: all K queries
+// alignBatchFused is the fused batch scan: all K queries
 // compile into one bitpar.BatchKernel, the union of valid window starts is
 // tiled into shards, and each shard's reference plane words are fetched
 // ONCE for the whole batch — one pass per tile instead of K. Shards run
@@ -741,7 +643,7 @@ func batchKernelInputs(queries []*Query, thresholdFrac float64) ([]isa.Program, 
 // (sched.GatherBatchCtx); cancellation sheds undispatched shards for every
 // query at once. shardLen 0 takes the scheduler's default; tests pass
 // small values to force carry-straddling shard boundaries.
-func alignBatchFused(ctx context.Context, progs []isa.Program, thresholds []int, planes *bitpar.Planes, shardLen int) ([][]bitpar.Hit, error) {
+func alignBatchFused(ctx context.Context, progs []isa.Program, thresholds []int, planes *bitpar.Planes, shardLen int) ([][]core.Hit, error) {
 	bk, err := bitpar.NewBatchKernel(progs, thresholds)
 	if err != nil {
 		return nil, err
@@ -753,11 +655,11 @@ func alignBatchFused(ctx context.Context, progs []isa.Program, thresholds []int,
 	tm.kernelBitpar.Add(k)
 	starts := bk.Starts(planes.Len())
 	if starts <= 0 {
-		return make([][]bitpar.Hit, len(progs)), ctx.Err()
+		return make([][]core.Hit, len(progs)), ctx.Err()
 	}
 	shards := sched.Plan(starts, shardLen)
 	tm.shardsPlanned.Add(uint64(len(shards)))
-	scanShard := func(i int) [][]bitpar.Hit {
+	scanShard := func(i int) [][]core.Hit {
 		ts := time.Now()
 		dst := bk.AlignPlanesRange(planes, shards[i].Lo, shards[i].Hi, nil)
 		observeSince(tm.shardLatency, ts)
@@ -765,12 +667,11 @@ func alignBatchFused(ctx context.Context, progs []isa.Program, thresholds []int,
 		return dst
 	}
 	t0 := time.Now()
-	var perQuery [][]bitpar.Hit
+	var perQuery [][]core.Hit
 	if rp := currentBatchRetryPolicy(); rp.enabled() || faultinject.Enabled() {
-		perQuery, err = gatherBatchResilient(ctx, rp, tm, shards, len(progs), scanShard)
+		perQuery, err = gatherBatchResilient(ctx, sched.Shared(), rp, tm, shards, len(progs), scanShard)
 	} else {
-		perQuery, err = sched.GatherBatchCtx(ctx, sched.Shared(), len(shards), len(progs),
-			func(i int) [][]bitpar.Hit { return scanShard(i) })
+		perQuery, err = sched.GatherBatchCtx(ctx, sched.Shared(), len(shards), len(progs), scanShard)
 	}
 	if err != nil {
 		tm.recordCtxErr(err)
@@ -785,14 +686,11 @@ func alignBatchFused(ctx context.Context, progs []isa.Program, thresholds []int,
 	return perQuery, nil
 }
 
-// bitparBatchToHits converts per-query kernel hit lists to the public type.
-func bitparBatchToHits(raw [][]bitpar.Hit) [][]Hit {
+// batchToHits converts per-query engine hit lists to the public type.
+func batchToHits(raw [][]core.Hit) [][]Hit {
 	out := make([][]Hit, len(raw))
 	for i, hits := range raw {
-		out[i] = make([]Hit, len(hits))
-		for j, h := range hits {
-			out[i][j] = Hit{Pos: h.Pos, Score: h.Score}
-		}
+		out[i] = publicHits(hits)
 	}
 	return out
 }
@@ -800,12 +698,11 @@ func bitparBatchToHits(raw [][]bitpar.Hit) [][]Hit {
 // AlignBatch scans one reference with many queries in a single fused pass,
 // returning per-query hit lists. Thresholds are the given fraction of each
 // query's own maximum score (rounded, not truncated). Every query is
-// validated before any scanning starts. Large references pack into
+// validated before any scanning starts. The reference packs into
 // bit-planes once — cached across calls — and the fused batch kernel reads
-// each reference tile once for the whole batch; small ones share the
-// scalar batch engine's context array. Both paths are bit-exact with a
-// serial per-query scan (see AlignBatchPerQuery). It is AlignBatchContext
-// under context.Background().
+// each reference tile once for the whole batch, bit-exact with K
+// independent single-query scans. It is AlignBatchContext under
+// context.Background().
 func AlignBatch(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
 	return AlignBatchContext(context.Background(), queries, ref, thresholdFrac)
 }
@@ -824,72 +721,12 @@ func AlignBatchContext(ctx context.Context, queries []*Query, ref *Reference, th
 	if err != nil {
 		return nil, err
 	}
-	tm := &defaultAlignerTM
-	if ref.Len() >= bitParThresholdLen {
-		tm.planeLookups.Inc()
-		raw, err := alignBatchFused(ctx, progs, thresholds, planesForReference(ref), 0)
-		if err != nil {
-			return nil, err
-		}
-		return bitparBatchToHits(raw), nil
-	}
-	if err := ctx.Err(); err != nil {
-		tm.recordCtxErr(err)
-		return nil, err
-	}
-	batch, err := core.NewBatch(progs, thresholds)
+	defaultAlignerTM.planeLookups.Inc()
+	raw, err := alignBatchFused(ctx, progs, thresholds, planesForReference(ref), 0)
 	if err != nil {
 		return nil, err
 	}
-	tm.queries.Add(uint64(len(queries)))
-	tm.batchQueries.Add(uint64(len(queries)))
-	tm.kernelScalar.Add(uint64(len(queries)))
-	raw := batch.Align(ref.seq)
-	out := make([][]Hit, len(raw))
-	for i, hits := range raw {
-		out[i] = make([]Hit, len(hits))
-		for j, h := range hits {
-			out[i][j] = Hit{Pos: h.Pos, Score: h.Score}
-		}
-		tm.hits.Add(uint64(len(hits)))
-	}
-	return out, nil
-}
-
-// AlignBatchPerQuery is the pre-fusion batch path: every query rescans the
-// reference independently — the scalar batch engine below the crossover,
-// per-(query, shard) bit-parallel tiles above, so a K-query batch reads
-// the reference planes K times. Retained as the baseline the fused path is
-// proven bit-exact against in the conformance suite and benchmarked over
-// (fabp-bench -batch).
-func AlignBatchPerQuery(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("fabp: empty batch")
-	}
-	progs, err := batchPrograms(queries)
-	if err != nil {
-		return nil, err
-	}
-	if ref.Len() >= bitParThresholdLen {
-		return alignBatchBitpar(queries, ref, thresholdFrac)
-	}
-	batch, err := core.NewBatchUniform(progs, thresholdFrac)
-	if err != nil {
-		return nil, err
-	}
-	tm := &defaultAlignerTM
-	tm.queries.Add(uint64(len(queries)))
-	tm.kernelScalar.Add(uint64(len(queries)))
-	raw := batch.Align(ref.seq)
-	out := make([][]Hit, len(raw))
-	for i, hits := range raw {
-		out[i] = make([]Hit, len(hits))
-		for j, h := range hits {
-			out[i][j] = Hit{Pos: h.Pos, Score: h.Score}
-		}
-		tm.hits.Add(uint64(len(hits)))
-	}
-	return out, nil
+	return batchToHits(raw), nil
 }
 
 // AlignDatabaseBatch scans the whole database once for every query of a
@@ -918,95 +755,6 @@ func AlignDatabaseBatchContext(ctx context.Context, d *Database, queries []*Quer
 	out := make([][]RecordHit, len(queries))
 	for i, hits := range perQuery {
 		out[i] = toRecordHits(d.d.Attribute(hits, queries[i].Elements()))
-	}
-	return out, nil
-}
-
-// alignBatchBitpar is the large-reference batch path: compile and validate
-// every kernel up front, fetch the reference's cached bit-planes, then run
-// every (query, shard) tile on the shared worker pool and stitch per-query
-// hits back together in position order.
-func alignBatchBitpar(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	kernels := make([]*bitpar.Kernel, len(queries))
-	var bad []string
-	for i, q := range queries {
-		threshold, err := core.ThresholdFromFraction(thresholdFrac, q.MaxScore())
-		if err != nil {
-			return nil, err // fraction errors are batch-wide, not per query
-		}
-		k, err := bitpar.NewKernel(q.program, threshold)
-		if err != nil {
-			bad = append(bad, fmt.Sprintf("%d (%v)", i, err))
-			continue
-		}
-		kernels[i] = k
-	}
-	if len(bad) > 0 {
-		return nil, fmt.Errorf("fabp: invalid batch queries at index %s", strings.Join(bad, ", "))
-	}
-
-	tm := &defaultAlignerTM
-	tm.queries.Add(uint64(len(queries)))
-	tm.kernelBitpar.Add(uint64(len(queries)))
-	tm.planeLookups.Inc()
-	planes := planesForReference(ref)
-	type task struct{ qi, lo, hi int }
-	var tasks []task
-	for qi, k := range kernels {
-		for _, s := range sched.Plan(ref.Len()-k.QueryElems()+1, 0) {
-			tasks = append(tasks, task{qi, s.Lo, s.Hi})
-		}
-	}
-	tm.shardsPlanned.Add(uint64(len(tasks)))
-	parts := make([][]bitpar.Hit, len(tasks))
-	sched.Shared().Each(len(tasks), func(i int) {
-		t := tasks[i]
-		t0 := time.Now()
-		parts[i] = kernels[t.qi].AlignPlanesRange(planes, t.lo, t.hi)
-		observeSince(tm.shardLatency, t0)
-		tm.shardsRun.Inc()
-	})
-
-	out := make([][]Hit, len(queries))
-	counts := make([]int, len(queries))
-	for i, t := range tasks {
-		counts[t.qi] += len(parts[i])
-	}
-	for qi := range out {
-		out[qi] = make([]Hit, 0, counts[qi])
-		tm.hits.Add(uint64(counts[qi]))
-	}
-	// Tasks were appended per query in ascending shard order, so appending
-	// in task order preserves position order within each query.
-	for i, t := range tasks {
-		for _, h := range parts[i] {
-			out[t.qi] = append(out[t.qi], Hit{Pos: h.Pos, Score: h.Score})
-		}
-	}
-	return out, nil
-}
-
-// alignBatchBitparSerial is the pre-scheduler batch path (pack per call,
-// queries strictly one after another). It is retained as the golden
-// reference the sharded path is proven bit-exact against in tests and as
-// the benchmark baseline.
-func alignBatchBitparSerial(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	planes := bitpar.PackReference(ref.seq)
-	out := make([][]Hit, len(queries))
-	for i, q := range queries {
-		threshold, err := core.ThresholdFromFraction(thresholdFrac, q.MaxScore())
-		if err != nil {
-			return nil, err
-		}
-		k, err := bitpar.NewKernel(q.program, threshold)
-		if err != nil {
-			return nil, fmt.Errorf("fabp: batch query %d: %w", i, err)
-		}
-		raw := k.AlignPlanes(planes)
-		out[i] = make([]Hit, len(raw))
-		for j, h := range raw {
-			out[i][j] = Hit{Pos: h.Pos, Score: h.Score}
-		}
 	}
 	return out, nil
 }

@@ -28,7 +28,6 @@ package fabp
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -216,23 +215,36 @@ func (r *Reference) Len() int { return len(r.seq) }
 // references).
 func (r *Reference) String() string { return r.seq.String() }
 
-// Kernel selects an alignment implementation. All kernels are bit-exact
-// with each other and with the generated netlist; they differ only in
-// speed and memory traffic.
+// Kernel selects an alignment implementation. There is one production
+// kernel, the fused bit-parallel BatchKernel (a single query runs it at
+// K=1); the scalar engine survives as the golden oracle. Both are
+// bit-exact with each other and with the generated netlist, and neither
+// fans out: the shard pool (WithParallelism) is the only source of scan
+// parallelism.
 type Kernel int
 
 const (
-	// KernelAuto picks per scan: the bit-parallel kernel for references
-	// above ~64 knt, the scalar engine below. The default.
+	// KernelAuto is the default and is identical to KernelBitParallel.
 	KernelAuto Kernel = iota
-	// KernelScalar always runs the scalar table-lookup engine.
+	// KernelScalar runs the scalar table-lookup engine — the golden
+	// oracle, for cross-checking in-memory targets (Reference and
+	// Database scans). Streams reject it with ErrBadOption.
 	KernelScalar
-	// KernelBitParallel always runs the SIMD-within-register kernel (the
-	// algorithm of the paper's GPU implementation).
+	// KernelBitParallel runs the SIMD-within-register kernel (the
+	// algorithm of the paper's GPU implementation) on every target size.
 	KernelBitParallel
 )
 
-// String renders the kernel in the stringly form WithKernel accepts.
+// resolved folds KernelAuto into the kernel it runs, so both selections
+// share scan-result cache entries.
+func (k Kernel) resolved() Kernel {
+	if k == KernelAuto {
+		return KernelBitParallel
+	}
+	return k
+}
+
+// String renders the kernel in the stringly form ParseKernel accepts.
 func (k Kernel) String() string {
 	switch k {
 	case KernelAuto:
@@ -264,9 +276,13 @@ func ParseKernel(s string) (Kernel, error) {
 // software model of the accelerator (proven equivalent to the generated
 // netlist in the test suite) and safe for concurrent use once built.
 type Aligner struct {
-	query  *Query
+	query     *Query
+	threshold int
+	// Exactly one scorer is compiled, for the kernel mode runs: bk, the
+	// fused kernel at K=1, or under KernelScalar engine, the scalar golden
+	// model.
+	bk     *bitpar.BatchKernel
 	engine *core.Engine
-	kernel *bitpar.Kernel
 	mode   Kernel
 	// pool executes database-scan shards; shared process-wide unless
 	// WithParallelism built a private one.
@@ -321,10 +337,10 @@ func WithThresholdFraction(f float64) AlignerOption {
 	}
 }
 
-// WithParallelism bounds the worker goroutines, for both in-kernel
-// fan-out and the database shard pool. Zero is the documented default
-// (GOMAXPROCS on the shared process-wide pool); negative values are an
-// error.
+// WithParallelism bounds the worker goroutines of the aligner's shard
+// pool — the only source of scan parallelism (the kernel itself never
+// fans out). Zero is the documented default (GOMAXPROCS on the shared
+// process-wide pool); negative values are an error.
 func WithParallelism(p int) AlignerOption {
 	return func(c *alignerConfig) {
 		if p < 0 {
@@ -364,8 +380,9 @@ func WithShardLen(n int) AlignerOption {
 }
 
 // WithKernelType selects the alignment implementation by typed enum:
-// KernelAuto (default), KernelScalar or KernelBitParallel. Out-of-range
-// values are an error at NewAligner.
+// KernelAuto (default, the bit-parallel kernel), KernelScalar (the
+// oracle) or KernelBitParallel. Out-of-range values are an error at
+// NewAligner; ParseKernel converts flag and config-file names.
 func WithKernelType(k Kernel) AlignerOption {
 	return func(c *alignerConfig) {
 		switch k {
@@ -374,25 +391,6 @@ func WithKernelType(k Kernel) AlignerOption {
 		default:
 			c.err = badOptionf("fabp: unknown kernel %v", k)
 		}
-	}
-}
-
-// WithKernel selects the alignment implementation by name: "auto",
-// "scalar" or "bitparallel". It is the stringly wrapper kept for
-// compatibility and behaves exactly like ParseKernel + WithKernelType.
-//
-// Deprecated: use WithKernelType with the typed Kernel enum (ParseKernel
-// converts flag and config-file values). WithKernel defers name
-// validation to NewAligner and cannot distinguish a bad kernel name from
-// other option errors at the call site.
-func WithKernel(kernel string) AlignerOption {
-	return func(c *alignerConfig) {
-		k, err := ParseKernel(kernel)
-		if err != nil {
-			c.err = badOption(err)
-			return
-		}
-		c.kernel = k
 	}
 }
 
@@ -415,67 +413,58 @@ func NewAligner(q *Query, opts ...AlignerOption) (*Aligner, error) {
 		}
 		threshold = t
 	}
-	engine, err := core.NewEngine(q.program, threshold)
+	engine, bk, err := compileQuery(q.program, threshold, cfg.kernel)
 	if err != nil {
-		return nil, badOption(err)
-	}
-	kernel, err := bitpar.NewKernel(q.program, threshold)
-	if err != nil {
-		return nil, badOption(err)
+		return nil, err
 	}
 	pool := sched.Shared()
 	if cfg.parallelism > 0 {
-		engine.SetParallelism(cfg.parallelism)
-		kernel.SetParallelism(cfg.parallelism)
 		pool = sched.NewPool(cfg.parallelism)
 		pool.SetMetrics(cfg.metrics.reg)
 	}
 	return &Aligner{
-		query: q, engine: engine, kernel: kernel, mode: cfg.kernel,
+		query: q, threshold: threshold, bk: bk, engine: engine, mode: cfg.kernel,
 		pool: pool, shardLen: cfg.shardLen,
 		metrics: cfg.metrics, tm: newAlignerMetrics(cfg.metrics.reg),
 		retryPolicy: cfg.retryPolicy, partial: cfg.partial,
 	}, nil
 }
 
+// compileQuery compiles a query at threshold t for the kernel mode runs:
+// the fused kernel at K=1, or the scalar engine under KernelScalar. Only
+// one is built — a default aligner never pays for an engine it does not
+// scan with.
+func compileQuery(prog isa.Program, t int, mode Kernel) (engine *core.Engine, bk *bitpar.BatchKernel, err error) {
+	if mode == KernelScalar {
+		engine, err = core.NewEngine(prog, t)
+	} else {
+		bk, err = bitpar.NewBatchKernel([]isa.Program{prog}, []int{t})
+	}
+	if err != nil {
+		return nil, nil, badOption(err)
+	}
+	return engine, bk, nil
+}
+
+// oracle returns the scalar engine for the off-scan helpers (EValueOf,
+// ScoreAt): the aligner's own under KernelScalar, else a fresh one.
+func (a *Aligner) oracle() *core.Engine {
+	if a.engine != nil {
+		return a.engine
+	}
+	e, _ := core.NewEngine(a.query.program, a.threshold) // validated by NewAligner
+	return e
+}
+
 // Metrics returns the collector this aligner reports to (DefaultMetrics
 // unless WithTelemetry supplied a private one).
 func (a *Aligner) Metrics() *Metrics { return a.metrics }
-
-// bitParThresholdLen is the reference size above which "auto" switches to
-// the bit-parallel kernel.
-const bitParThresholdLen = 64 << 10
-
-// useBitpar decides the implementation for a reference length.
-func (a *Aligner) useBitpar(refLen int) bool {
-	switch a.mode {
-	case KernelBitParallel:
-		return true
-	case KernelScalar:
-		return false
-	}
-	return refLen >= bitParThresholdLen
-}
 
 // Kernel returns the configured kernel selection.
 func (a *Aligner) Kernel() Kernel { return a.mode }
 
 // Threshold returns the configured hit threshold.
-func (a *Aligner) Threshold() int { return a.engine.Threshold() }
-
-// alignSeq dispatches to the selected kernel and normalizes the hit type.
-func (a *Aligner) alignSeq(seq bio.NucSeq) []core.Hit {
-	a.tm.kernelChosen(a.useBitpar(len(seq)))
-	if a.useBitpar(len(seq)) {
-		raw := a.kernel.Align(seq)
-		hits := make([]core.Hit, len(raw))
-		for i, h := range raw {
-			hits[i] = core.Hit{Pos: h.Pos, Score: h.Score}
-		}
-		return hits
-	}
-	return a.engine.Align(seq)
-}
+func (a *Aligner) Threshold() int { return a.threshold }
 
 // Align scans the reference and returns every hit in position order. It
 // is AlignContext under context.Background() — uncancellable, never errs.
@@ -485,13 +474,10 @@ func (a *Aligner) Align(ref *Reference) []Hit {
 }
 
 // AlignContext scans the reference under a context and returns every hit
-// in position order. Cancellation and deadlines are honored at shard
-// boundaries: a cancelable context routes the scan through the shard
-// scheduler (checkpoints between shards, running shards finish), so the
-// call returns ctx.Err() within one shard of the cancel and records the
-// abort on align.canceled / align.deadline.exceeded. A context that can
-// never be canceled (context.Background, context.TODO) takes the
-// single-pass kernel, identical to the historical Align path.
+// in position order. The scan runs on the shard scheduler, which checks
+// cancellation and deadlines between shards (running shards finish), so
+// the call returns ctx.Err() within one shard of the cancel and records
+// the abort on align.canceled / align.deadline.exceeded.
 //
 // When the scan-result cache is enabled (SetScanCacheCapacity), the call
 // shares the cache- and singleflight-aware spine with Scan: repeats are
@@ -515,34 +501,23 @@ func (a *Aligner) executeReferenceScan(ctx context.Context, ref *Reference) (*Sc
 		a.tm.recordCtxErr(err)
 		return nil, err
 	}
-	var raw []core.Hit
-	var perr error
-	if ctx.Done() == nil && !a.resilientScans() {
-		raw = a.alignSeq(ref.seq)
-	} else {
-		// Cancelable contexts — and any scan under a retry policy, partial
-		// mode or fault injection — go through the shard scheduler so the
-		// checkpoints and resilience hooks apply.
-		scan, starts := a.referenceScan(ref)
-		if scan != nil {
-			var err error
-			raw, err = a.scanShardsCtx(ctx, starts, scan)
-			if err != nil {
-				var pe *PartialError
-				if !errors.As(err, &pe) {
-					a.tm.recordCtxErr(err)
-					return nil, err
-				}
-				perr = err // degraded completion: surviving hits + *PartialError
-			}
-		}
+	scan, starts := a.referenceScan(ref)
+	raw, perr, err := a.runScan(ctx, scan, starts)
+	if err != nil {
+		return nil, err
 	}
-	hits := make([]Hit, len(raw))
-	for i, h := range raw {
-		hits[i] = Hit{Pos: h.Pos, Score: h.Score}
-	}
+	hits := publicHits(raw)
 	a.tm.hits.Add(uint64(len(hits)))
 	return a.newScanResult(hits, nil, perr), perr
+}
+
+// publicHits converts engine hits to the public type.
+func publicHits(raw []core.Hit) []Hit {
+	hits := make([]Hit, len(raw))
+	for i, h := range raw {
+		hits[i] = Hit(h)
+	}
+	return hits
 }
 
 // AlignStream scans a nucleotide stream of arbitrary size (raw letters,
@@ -550,11 +525,9 @@ func (a *Aligner) executeReferenceScan(ctx context.Context, ref *Reference) (*Sc
 // boundaries, and delivers hits to emit in position order. Return an error
 // from emit to stop early.
 //
-// The scan honors the configured kernel: "scalar" runs the engine's
-// chunked reader, "bitparallel" packs each chunk into bit-planes and runs
-// the SIMD-within-register kernel, and "auto" picks the bit-parallel
-// kernel (a stream's length is unknown up front, and streams are
-// typically large). All modes produce identical hits.
+// Each chunk is packed into bit-planes once and scanned by the fused
+// kernel at K=1, sharded like a database scan. KernelScalar — the
+// in-memory oracle — is rejected with ErrBadOption.
 func (a *Aligner) AlignStream(r io.Reader, emit func(Hit) error) error {
 	return a.AlignStreamContext(context.Background(), r, emit)
 }
@@ -567,33 +540,29 @@ func (a *Aligner) AlignStream(r io.Reader, emit func(Hit) error) error {
 // unblocking). Aborts are recorded on align.canceled /
 // align.deadline.exceeded.
 func (a *Aligner) AlignStreamContext(ctx context.Context, r io.Reader, emit func(Hit) error) error {
+	if a.mode == KernelScalar {
+		return badOptionf("fabp: AlignStream does not run KernelScalar (the oracle for in-memory targets): use KernelAuto or KernelBitParallel")
+	}
 	a.tm.queries.Inc()
 	t0 := time.Now()
 	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	var err error
-	if a.mode == KernelScalar {
-		a.tm.kernelChosen(false)
-		err = a.engine.AlignReaderContext(ctx, r, func(h core.Hit) error {
+	a.tm.kernelBitpar.Inc()
+	m := a.query.Elements()
+	var scratch [][]core.Hit
+	err := scanChunks(ctx, r, m, m, &a.tm, a.retryPolicy, func(pp *bitpar.Planes, lo, hi, base int) error {
+		perQuery, err := batchChunkHits(ctx, a.bk, a.pool, a.retryPolicy, &a.tm, pp, lo, hi, scratch)
+		if err != nil {
+			return err
+		}
+		scratch = perQuery
+		for _, h := range perQuery[0] {
 			a.tm.hits.Inc()
-			return emit(Hit{Pos: h.Pos, Score: h.Score})
-		})
-	} else {
-		a.tm.kernelChosen(true)
-		m := a.query.Elements()
-		err = scanChunks(ctx, r, m, m, &a.tm, a.retryPolicy, func(pp *bitpar.Planes, lo, hi, base int) error {
-			hits, herr := a.streamChunkHits(ctx, pp, lo, hi)
-			if herr != nil {
-				return herr
+			if err := emit(Hit{Pos: base + h.Pos, Score: h.Score}); err != nil {
+				return err
 			}
-			for _, h := range hits {
-				a.tm.hits.Inc()
-				if err := emit(Hit{Pos: base + h.Pos, Score: h.Score}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
+		}
+		return nil
+	})
 	if err != nil {
 		a.tm.recordCtxErr(err)
 	}
@@ -604,26 +573,56 @@ func (a *Aligner) AlignStreamContext(ctx context.Context, r io.Reader, emit func
 // a refLen-nucleotide scan, from the exact null score distribution — the
 // significance annotation for a reported hit.
 func (a *Aligner) EValueOf(score, refLen int) float64 {
-	return a.engine.EValue(score, refLen)
+	return a.oracle().EValue(score, refLen)
 }
 
+// bestPiece bounds the window starts Best scores per kernel call, so a
+// threshold-0 scan (every start is a hit) never materializes a whole
+// shard's hits.
+const bestPiece = 1 << 12
+
 // Best returns the single highest-scoring position regardless of the
-// threshold (ok=false when the reference is shorter than the query). It
-// dispatches through the same kernel rule as Align — the bit-parallel
-// best-hit scan under WithKernelType(KernelBitParallel) or a large "auto"
-// reference, the scalar engine otherwise — and is instrumented like every
-// other scan (align.queries.started, align.latency, kernel counters).
+// threshold, ties going to the lower position (ok=false when the
+// reference is shorter than the query, or the scan fails). It is a
+// threshold-0 scan on the aligner's kernel and shard executor, each shard
+// max-reduced in place, and is instrumented like every other scan
+// (align.queries.started, align.latency, kernel counters).
 func (a *Aligner) Best(ref *Reference) (Hit, bool) {
 	a.tm.queries.Inc()
 	t0 := time.Now()
 	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	a.tm.kernelChosen(a.useBitpar(ref.Len()))
-	if a.useBitpar(ref.Len()) {
-		h, ok := a.kernel.BestHit(ref.seq)
-		return Hit{Pos: h.Pos, Score: h.Score}, ok
+	// z is this aligner recompiled at threshold 0: same kernel selection,
+	// pool, shard length and telemetry.
+	z := *a
+	var err error
+	if z.engine, z.bk, err = compileQuery(a.query.program, 0, a.mode); err != nil {
+		return Hit{}, false
 	}
-	h, ok := a.engine.BestHit(ref.seq)
-	return Hit{Pos: h.Pos, Score: h.Score}, ok
+	scan, starts := z.referenceScan(ref)
+	if scan == nil {
+		return Hit{}, false
+	}
+	bests, err := z.scanShardsCtx(context.Background(), starts, func(lo, hi int) []core.Hit {
+		best := core.Hit{Score: -1}
+		for p := lo; p < hi; p += bestPiece {
+			for _, h := range scan(p, min(p+bestPiece, hi)) {
+				if h.Score > best.Score {
+					best = h
+				}
+			}
+		}
+		return []core.Hit{best}
+	})
+	if err != nil || len(bests) == 0 {
+		return Hit{}, false
+	}
+	best := bests[0]
+	for _, h := range bests[1:] {
+		if h.Score > best.Score {
+			best = h
+		}
+	}
+	return Hit(best), true
 }
 
 // ScoreAt returns the alignment score at one reference position,
@@ -634,7 +633,7 @@ func (a *Aligner) ScoreAt(ref *Reference, pos int) (int, error) {
 	}
 	a.tm.queries.Inc()
 	t0 := time.Now()
-	score := a.engine.Score(ref.seq, pos)
+	score := a.oracle().Score(ref.seq, pos)
 	observeSince(a.tm.alignLatency, t0)
 	return score, nil
 }

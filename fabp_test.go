@@ -4,6 +4,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"fabp/internal/bio"
+	"fabp/internal/core"
 )
 
 func TestNewQueryBasics(t *testing.T) {
@@ -112,6 +115,37 @@ func TestEndToEndPlantedGene(t *testing.T) {
 	if !ok || best.Pos != g.Pos {
 		t.Errorf("best hit %+v, want pos %d", best, g.Pos)
 	}
+	// Best is a threshold-0 max-reduce on the scan kernel: under every
+	// kernel it must equal the scalar engine's BestHit — on a reference
+	// holding two equal-scoring copies of the gene in different shards
+	// (the tie goes to the lower position) and on one a nucleotide shorter
+	// than the query (ok=false).
+	gene := ref.seq[g.Pos : g.Pos+q.Elements()]
+	tie := &Reference{seq: append(append(append(bio.NucSeq{}, gene...), ref.seq[:5000]...), gene...)}
+	short := &Reference{seq: gene[:len(gene)-1]}
+	oracle, err := core.NewEngine(q.program, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.Score(tie.seq, 0) != oracle.Score(tie.seq, len(gene)+5000) {
+		t.Fatal("tie reference does not tie; test is vacuous")
+	}
+	for _, kernel := range []Kernel{KernelAuto, KernelScalar, KernelBitParallel} {
+		ka, err := NewAligner(q, WithThresholdFraction(0.9), WithKernelType(kernel), WithShardLen(1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Reference{ref, tie, short} {
+			want, wantOK := oracle.BestHit(r.seq)
+			got, ok := ka.Best(r)
+			if ok != wantOK || (ok && got != Hit(want)) {
+				t.Errorf("%v Best over %d nt = %+v/%v, engine BestHit %+v/%v", kernel, r.Len(), got, ok, want, wantOK)
+			}
+		}
+		if got, _ := ka.Best(tie); got.Pos != 0 {
+			t.Errorf("%v: tie resolved to %d, want the lower position 0", kernel, got.Pos)
+		}
+	}
 	score, err := a.ScoreAt(ref, g.Pos)
 	if err != nil {
 		t.Fatal(err)
@@ -179,11 +213,21 @@ func TestKernelSelectionEquivalence(t *testing.T) {
 	q, _ := NewQuery(genes[1].Protein)
 	var results [][]Hit
 	for _, kernel := range []Kernel{KernelScalar, KernelBitParallel, KernelAuto} {
+		// The flag/config form names every kernel and round-trips.
+		if parsed, err := ParseKernel(kernel.String()); err != nil || parsed != kernel {
+			t.Fatalf("ParseKernel(%q) = %v, %v", kernel.String(), parsed, err)
+		}
 		a, err := NewAligner(q, WithThresholdFraction(0.7), WithKernelType(kernel))
 		if err != nil {
 			t.Fatal(err)
 		}
 		results = append(results, a.Align(ref))
+	}
+	if _, err := ParseKernel("gpu"); err == nil {
+		t.Error("unknown kernel name must fail")
+	}
+	if _, err := NewAligner(q, WithKernelType(Kernel(42))); !errors.Is(err, ErrBadOption) {
+		t.Errorf("unknown kernel: err %v, want ErrBadOption", err)
 	}
 	for i := 1; i < len(results); i++ {
 		if len(results[i]) != len(results[0]) {
@@ -194,43 +238,6 @@ func TestKernelSelectionEquivalence(t *testing.T) {
 				t.Fatalf("kernel %d hit %d differs", i, j)
 			}
 		}
-	}
-}
-
-// TestWithKernelDeprecatedWrapper pins the deprecated string option's
-// contract: it remains a working alias for WithKernelType (same scan
-// behavior) and still rejects unknown names. New code should use
-// WithKernelType; this is the one test that exercises the wrapper itself.
-func TestWithKernelDeprecatedWrapper(t *testing.T) {
-	ref, genes := SyntheticReference(91, 50_000, 2, 30)
-	q, err := NewQuery(genes[0].Protein)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deprecated, err := NewAligner(q, WithThresholdFraction(0.7), WithKernel("bitparallel"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	typed, err := NewAligner(q, WithThresholdFraction(0.7), WithKernelType(KernelBitParallel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := typed.Align(ref)
-	got := deprecated.Align(ref)
-	if len(got) != len(want) {
-		t.Fatalf("deprecated wrapper: %d hits, typed %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("hit %d: wrapper %+v, typed %+v", i, got[i], want[i])
-		}
-	}
-	_, err = NewAligner(q, WithKernel("gpu"))
-	if err == nil {
-		t.Fatal("unknown kernel must fail")
-	}
-	if !errors.Is(err, ErrBadOption) {
-		t.Errorf("unknown-kernel error %v does not match ErrBadOption", err)
 	}
 }
 

@@ -33,11 +33,22 @@ func assertHitsEqual(t *testing.T, label string, want, got []Hit) {
 	}
 }
 
-// checkAlignConformance is the differential oracle: the scalar whole-
-// reference scan defines the truth, and every other execution strategy —
-// bit-parallel kernel, sharded database scans under both kernels, and the
-// chunked stream scan at chunk sizes straddling the L_q-element carry
-// boundary — must reproduce it hit for hit, in order.
+// engineHits is the golden oracle: the scalar core.Engine scanning the
+// whole reference for one query at an absolute threshold.
+func engineHits(t *testing.T, q *Query, ref *Reference, thr int) []Hit {
+	t.Helper()
+	e, err := core.NewEngine(q.program, thr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return publicHits(e.Align(ref.seq))
+}
+
+// checkAlignConformance is the differential oracle: the scalar engine's
+// whole-reference scan defines the truth, and every execution strategy —
+// each kernel selection through Align, sharded database scans under both
+// kernels, and the chunked stream scan at chunk sizes straddling the
+// L_q-element carry boundary — must reproduce it hit for hit, in order.
 func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 	t.Helper()
 	q, err := NewQuery(protein)
@@ -52,11 +63,11 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 		t.Skip("reference shorter than query")
 	}
 
-	scalar := mustConformAligner(t, q, WithKernelType(KernelScalar), WithThreshold(thr))
-	want := scalar.Align(ref)
-
-	bitp := mustConformAligner(t, q, WithKernelType(KernelBitParallel), WithThreshold(thr))
-	assertHitsEqual(t, "bitparallel Align", want, bitp.Align(ref))
+	want := engineHits(t, q, ref, thr)
+	for _, kernel := range []Kernel{KernelScalar, KernelBitParallel, KernelAuto} {
+		a := mustConformAligner(t, q, WithKernelType(kernel), WithThreshold(thr))
+		assertHitsEqual(t, "Align/"+kernel.String(), want, a.Align(ref))
+	}
 
 	// Sharded database scans: small shards so even short references tile
 	// into several, under both kernels and bounded parallelism.
@@ -77,32 +88,43 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 
 	// Chunked stream scans. scanChunks clamps the chunk to at least m+2
 	// letters, so m+2 is the smallest (carry-heaviest) chunking; the last
-	// value is large enough that no carry happens at all.
+	// value is large enough that no carry happens at all. The stream is
+	// also fed as lowercase DNA broken into CRLF lines, which must decode
+	// to the same letters.
 	m := q.Elements()
+	var lower strings.Builder
+	for i, nt := range ref.seq {
+		lower.WriteByte(nt.DNALetter() | 0x20)
+		if i%60 == 59 {
+			lower.WriteString("\r\n")
+		}
+	}
 	defer func(old int) { streamChunkLetters = old }(streamChunkLetters)
 	for _, chunk := range []int{m + 2, m + 3, 2*m + 1, 5*m + 7, len(refStr) + 1} {
 		streamChunkLetters = chunk
-		for _, kernel := range []Kernel{KernelScalar, KernelBitParallel} {
-			a := mustConformAligner(t, q, WithKernelType(kernel), WithThreshold(thr))
-			var got []Hit
-			err := a.AlignStream(strings.NewReader(refStr), func(h Hit) error {
-				got = append(got, h)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("chunk %d AlignStream/%s: %v", chunk, kernel, err)
+		for _, kernel := range []Kernel{KernelBitParallel, KernelAuto} {
+			for _, text := range []string{refStr, lower.String()} {
+				a := mustConformAligner(t, q, WithKernelType(kernel), WithThreshold(thr))
+				var got []Hit
+				err := a.AlignStream(strings.NewReader(text), func(h Hit) error {
+					got = append(got, h)
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("chunk %d AlignStream/%s: %v", chunk, kernel, err)
+				}
+				assertHitsEqual(t, "chunked AlignStream/"+kernel.String(), want, got)
 			}
-			assertHitsEqual(t, "chunked AlignStream/"+kernel.String(), want, got)
 		}
 	}
 }
 
 // checkBatchConformance is the batch arm of the differential oracle: the
-// scalar batch engine defines the truth, and the fused batch kernel —
+// per-query scalar engine defines the truth, and the fused batch kernel —
 // whole-scan and under shard sizes straddling the longest query's carry
-// overlap — plus the per-query bit-parallel tiling must reproduce it per
-// query, hit for hit, in order. Queries deliberately mix lengths so the
-// fused scan's per-query window clamping is exercised.
+// overlap — plus K independent Scan calls (the unfused baseline) must
+// reproduce it per query, hit for hit, in order. Queries deliberately mix
+// lengths so the fused scan's per-query window clamping is exercised.
 func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac float64) {
 	t.Helper()
 	queries := make([]*Query, 0, len(proteins))
@@ -126,17 +148,10 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 		t.Fatal(err)
 	}
 
-	// Scalar truth: one batch engine over the whole reference.
-	oracle, err := core.NewBatchUniform(progs, frac)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Scalar truth: one engine per query over the whole reference.
 	want := make([][]Hit, len(queries))
-	for i, hits := range oracle.Align(ref.seq) {
-		want[i] = make([]Hit, len(hits))
-		for j, h := range hits {
-			want[i][j] = Hit{Pos: h.Pos, Score: h.Score}
-		}
+	for i, q := range queries {
+		want[i] = engineHits(t, q, ref, thresholds[i])
 	}
 
 	assertBatch := func(label string, got [][]Hit) {
@@ -149,19 +164,23 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 		}
 	}
 
-	// The per-query bit-parallel tiling (the pre-fusion baseline).
-	perQuery, err := alignBatchBitpar(queries, ref, frac)
-	if err != nil {
-		t.Fatal(err)
+	// K independent single-query scans (the unfused baseline).
+	perQuery := make([][]Hit, len(queries))
+	for i, q := range queries {
+		res, err := Scan(context.Background(), ScanRequest{Query: q, Reference: ref, ThresholdFrac: frac, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perQuery[i] = res.Hits
 	}
-	assertBatch("per-query bitpar", perQuery)
+	assertBatch("per-query Scan", perQuery)
 
-	// The routed per-query path (scalar below the crossover).
-	routed, err := AlignBatchPerQuery(queries, ref, frac)
+	// The fused in-memory batch front door.
+	fused, err := AlignBatch(queries, ref, frac)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBatch("AlignBatchPerQuery", routed)
+	assertBatch("AlignBatch", fused)
 
 	// The fused batch kernel: whole scan, then shard sizes straddling the
 	// longest query's carry overlap (64 is the smallest legal tile; the
@@ -174,7 +193,7 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBatch(fmt.Sprintf("fused shardLen=%d", shardLen), bitparBatchToHits(raw))
+		assertBatch(fmt.Sprintf("fused shardLen=%d", shardLen), batchToHits(raw))
 	}
 
 	// The fused batch STREAMING path: one pooled pack per chunk shared by

@@ -99,7 +99,7 @@ type batchScratch struct {
 }
 
 // NewBatchKernel compiles every program for its threshold. Thresholds are
-// absolute per-query scores, validated like NewKernel's.
+// absolute per-query scores in [0, len(program)].
 func NewBatchKernel(progs []isa.Program, thresholds []int) (*BatchKernel, error) {
 	if len(progs) == 0 {
 		return nil, fmt.Errorf("bitpar: empty batch")
@@ -109,34 +109,28 @@ func NewBatchKernel(progs []isa.Program, thresholds []int) (*BatchKernel, error)
 	}
 	bk := &BatchKernel{queries: make([]batchQuery, 0, len(progs))}
 	off := 0
-	for i := range progs {
-		k, err := NewKernel(progs[i], thresholds[i])
-		if err != nil {
-			return nil, fmt.Errorf("bitpar: batch query %d: %w", i, err)
+	for i, prog := range progs {
+		if len(prog) == 0 {
+			return nil, fmt.Errorf("bitpar: batch query %d: empty program", i)
 		}
-		budget := len(k.elems) - k.threshold
+		if thresholds[i] < 0 || thresholds[i] > len(prog) {
+			return nil, fmt.Errorf("bitpar: batch query %d: threshold %d outside [0,%d]", i, thresholds[i], len(prog))
+		}
+		budget := len(prog) - thresholds[i]
 		ctrW := bits.Len(uint(budget))
 		q := batchQuery{
-			elems: make([]fusedElem, len(k.elems)), threshold: k.threshold,
+			elems: make([]fusedElem, len(prog)), threshold: thresholds[i],
 			budget: budget, ctrW: ctrW, satAll: budget+1 == 1<<ctrW,
 			ctrOff: off,
 		}
-		for j, e := range k.elems {
-			f := &q.elems[j]
-			f.dep = e.dep
-			f.a0, f.ac0, f.g0, f.gu0 = expandMux(e.mask0)
-			f.a1, f.ac1, f.g1, f.gu1 = expandMux(e.mask1)
-			if e.mask0 == e.mask1 {
-				f.dep = backtrans.DepNone
-			}
+		for j, ins := range prog {
+			q.elems[j] = compile(ins)
 		}
 		bk.queries = append(bk.queries, q)
 		off += ctrW
-		if len(k.elems) > bk.maxElems {
-			bk.maxElems = len(k.elems)
-		}
-		if bk.minElems == 0 || len(k.elems) < bk.minElems {
-			bk.minElems = len(k.elems)
+		bk.maxElems = max(bk.maxElems, len(prog))
+		if bk.minElems == 0 || len(prog) < bk.minElems {
+			bk.minElems = len(prog)
 		}
 	}
 	bk.ctrWords = off

@@ -24,7 +24,7 @@ func TestNewKernelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.QueryElems() != 3 || k.Threshold() != 2 {
+	if k.bk.QueryElems(0) != 3 || k.bk.Threshold(0) != 2 {
 		t.Error("accessors")
 	}
 }
@@ -125,7 +125,16 @@ func TestFetchEdges(t *testing.T) {
 	}
 }
 
+// TestMaskEval pins the fused mux form every element compiles to: the
+// expandMux masks, evaluated over the current-nucleotide planes, accept
+// exactly the nucleotides in the 4-bit truth table.
 func TestMaskEval(t *testing.T) {
+	maskEval := func(mask uint8, c0, c1 uint64) uint64 {
+		a, ac, g, gu := expandMux(mask)
+		lo := a ^ (c0 & ac)
+		hi := g ^ (c0 & gu)
+		return lo ^ (c1 & (lo ^ hi))
+	}
 	// c = G (c1=1, c0=0) in lane 0; A in lane 1 (bits zero).
 	c0, c1 := uint64(0), uint64(1)
 	if m := maskEval(1<<bio.G, c0, c1); m&1 != 1 || m&2 != 0 {
@@ -139,6 +148,15 @@ func TestMaskEval(t *testing.T) {
 	}
 	if maskEval(0, 0x5A, 0xA5) != 0 {
 		t.Error("empty mask must accept nothing")
+	}
+	// Every single-nucleotide mask accepts exactly its own lanes.
+	for v := bio.Nucleotide(0); v < 4; v++ {
+		l0, l1 := uint64(v&1), uint64(v>>1&1)
+		for w := bio.Nucleotide(0); w < 4; w++ {
+			if got := maskEval(1<<w, l0, l1)&1 == 1; got != (v == w) {
+				t.Errorf("mask %v on %v = %v", w, v, got)
+			}
+		}
 	}
 }
 
@@ -172,7 +190,7 @@ func TestKernelParallelismInvariance(t *testing.T) {
 	prog := isa.MustEncodeProtein(p)
 	ref := bio.RandomNucSeq(rng, 300_000)
 	k, _ := NewKernel(prog, len(prog)/2)
-	k.SetParallelism(1)
+	k.SetParallelism(1) // documented no-op: the kernel never fans out
 	serial := k.Align(ref)
 	k.SetParallelism(8)
 	parallel := k.Align(ref)

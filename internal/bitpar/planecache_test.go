@@ -104,12 +104,13 @@ func TestAlignPlanesRangeMatchesFull(t *testing.T) {
 		p := bio.RandomProtSeq(rng, 2+rng.Intn(15))
 		prog := isa.MustEncodeProtein(p)
 		ref := bio.RandomNucSeq(rng, len(prog)+rng.Intn(3000))
-		k, err := NewKernel(prog, rng.Intn(len(prog)+1))
+		bk, err := NewBatchKernel([]isa.Program{prog}, []int{rng.Intn(len(prog) + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		planes := PackReference(ref)
-		full := k.AlignPlanes(planes)
+		full := bk.AlignPlanes(planes)[0]
+		rangeHits := func(lo, hi int) []Hit { return bk.AlignPlanesRange(planes, lo, hi, nil)[0] }
 		n := len(ref) - len(prog) + 1
 
 		// 64-aligned shards.
@@ -119,24 +120,26 @@ func TestAlignPlanesRangeMatchesFull(t *testing.T) {
 			if hi > n {
 				hi = n
 			}
-			sharded = append(sharded, k.AlignPlanesRange(planes, lo, hi)...)
+			sharded = append(sharded, rangeHits(lo, hi)...)
 		}
 		assertSameHits(t, trial, full, sharded)
 
 		// Ragged (unaligned) split point: trimming must still be exact.
 		cut := rng.Intn(n + 1)
-		ragged := append(k.AlignPlanesRange(planes, 0, cut),
-			k.AlignPlanesRange(planes, cut, n)...)
+		ragged := append(rangeHits(0, cut), rangeHits(cut, n)...)
 		assertSameHits(t, trial, full, ragged)
 
 		// Out-of-range requests are clamped, not panics.
-		assertSameHits(t, trial, k.AlignPlanesRange(planes, 0, 3), k.AlignPlanesRange(planes, -5, 3))
-		if got := k.AlignPlanesRange(planes, n+100, n+200); got != nil {
+		assertSameHits(t, trial, rangeHits(0, 3), rangeHits(-5, 3))
+		if got := rangeHits(n+100, n+200); got != nil {
 			t.Fatalf("trial %d: beyond-end range returned %v", trial, got)
 		}
 	}
 }
 
+// TestAlignRangeMatchesAlign: the chunked-streaming primitive — a
+// reference packed through a PlaneBuilder, then scanned range by range —
+// reproduces the whole-reference scan.
 func TestAlignRangeMatchesAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	p := bio.RandomProtSeq(rng, 6)
@@ -145,7 +148,12 @@ func TestAlignRangeMatchesAlign(t *testing.T) {
 	k, _ := NewKernel(prog, len(prog)/3)
 	n := len(ref) - len(prog) + 1
 	full := k.Align(ref)
-	got := append(k.AlignRange(ref, 0, 100), k.AlignRange(ref, 100, n)...)
+	b := GetPlaneBuilder()
+	defer b.Release()
+	b.Append(ref[:300])
+	b.Append(ref[300:])
+	got := append(k.bk.AlignPlanesRange(b.Planes(), 0, 100, nil)[0],
+		k.bk.AlignPlanesRange(b.Planes(), 100, n, nil)[0]...)
 	assertSameHits(t, 0, full, got)
 }
 

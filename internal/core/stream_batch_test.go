@@ -67,82 +67,3 @@ func TestAlignStreamCycleAccounting(t *testing.T) {
 		t.Error("default beat should be 256")
 	}
 }
-
-func TestBatchMatchesIndividualEngines(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	ref := bio.RandomNucSeq(rng, 200_000)
-	var progs []isa.Program
-	var thresholds []int
-	for i := 0; i < 6; i++ {
-		p := bio.RandomProtSeq(rng, 3+rng.Intn(12))
-		prog := isa.MustEncodeProtein(p)
-		progs = append(progs, prog)
-		thresholds = append(thresholds, len(prog)*2/3)
-	}
-	batch, err := NewBatch(progs, thresholds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch.SetParallelism(4)
-	got := batch.Align(ref)
-	for i := range progs {
-		e, _ := NewEngine(progs[i], thresholds[i])
-		want := e.Align(ref)
-		if len(want) == 0 && len(got[i]) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("query %d: batch %d hits, individual %d", i, len(got[i]), len(want))
-		}
-	}
-}
-
-func TestBatchValidation(t *testing.T) {
-	if _, err := NewBatch(nil, nil); err == nil {
-		t.Error("empty batch must fail")
-	}
-	prog := isa.MustEncodeProtein(bio.ProtSeq{bio.Met})
-	if _, err := NewBatch([]isa.Program{prog}, []int{1, 2}); err == nil {
-		t.Error("length mismatch must fail")
-	}
-	if _, err := NewBatch([]isa.Program{prog}, []int{99}); err == nil {
-		t.Error("bad threshold must fail")
-	}
-	b, err := NewBatchUniform([]isa.Program{prog}, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 1 {
-		t.Error("Len")
-	}
-	b.SetParallelism(0) // clamps
-}
-
-func TestBatchBestHits(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	ref, genes := bio.SyntheticReference(rng, 30_000, 2, 30)
-	var progs []isa.Program
-	for _, g := range genes {
-		p := g.Protein
-		for i := range p {
-			if p[i] == bio.Ser {
-				p[i] = bio.Gly
-			}
-		}
-		// Re-plant with Ser removed so the best hit is perfect.
-		copy(ref[g.Pos:], bio.EncodeGene(rng, p))
-		progs = append(progs, isa.MustEncodeProtein(p))
-	}
-	batch, _ := NewBatchUniform(progs, 0.9)
-	best := batch.BestHits(ref)
-	for i, g := range genes {
-		if best[i].Pos != g.Pos {
-			t.Errorf("query %d best at %d, want %d", i, best[i].Pos, g.Pos)
-		}
-	}
-	// Too-short reference marks -1.
-	tiny := batch.BestHits(bio.NucSeq{bio.A})
-	if tiny[0].Pos != -1 {
-		t.Error("short ref must yield -1")
-	}
-}

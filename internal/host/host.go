@@ -130,8 +130,8 @@ func (s *Session) SetAlignFunc(f AlignFunc) { s.alignFn = f }
 // is unchanged — and the function must honor cancellation.
 type BatchAlignFunc func(ctx context.Context, progs []isa.Program, thresholds []int) ([][]core.Hit, error)
 
-// SetBatchAlignFunc installs the fused batch hook (nil falls back to the
-// per-query AlignFunc loop, or the built-in scalar batch).
+// SetBatchAlignFunc installs the fused batch hook (nil falls back to a
+// per-query loop over the AlignFunc or the built-in scalar engine).
 func (s *Session) SetBatchAlignFunc(f BatchAlignFunc) { s.batchFn = f }
 
 // NewSession prepares an empty card.
@@ -166,6 +166,22 @@ func (s *Session) DatabaseLen() int { return len(s.ref) }
 // LoadCost returns the one-time database transfer stats.
 func (s *Session) LoadCost() TransferStats { return s.loadCost }
 
+// align computes one query's hits: the installed AlignFunc, or the
+// built-in scalar engine.
+func (s *Session) align(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
+	if s.alignFn != nil {
+		return s.alignFn(ctx, prog, threshold)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	engine, err := core.NewEngine(prog, threshold)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Align(s.ref), nil
+}
+
 // RunQuery executes one encoded query end-to-end: size the build, scan the
 // resident database (bit-exact), and account every protocol leg.
 func (s *Session) RunQuery(prog isa.Program, threshold int) (*QueryResult, error) {
@@ -184,21 +200,9 @@ func (s *Session) RunQueryContext(ctx context.Context, prog isa.Program, thresho
 		return nil, fmt.Errorf("host: query of %d elements does not fit %s",
 			len(prog), s.platform.Device.Name)
 	}
-	var hits []core.Hit
-	if s.alignFn != nil {
-		var err error
-		if hits, err = s.alignFn(ctx, prog, threshold); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		engine, err := core.NewEngine(prog, threshold)
-		if err != nil {
-			return nil, err
-		}
-		hits = engine.Align(s.ref)
+	hits, err := s.align(ctx, prog, threshold)
+	if err != nil {
+		return nil, err
 	}
 
 	kernel := fpga.Time(est, len(s.ref), nil)
@@ -276,7 +280,7 @@ func (s *Session) RunBatchContext(ctx context.Context, progs []isa.Program, thre
 		if perQuery, err = s.batchFn(ctx, progs, thresholds); err != nil {
 			return nil, err
 		}
-	} else if s.alignFn != nil {
+	} else {
 		perQuery = make([][]core.Hit, len(progs))
 		for i, p := range progs {
 			if err := ctx.Err(); err != nil {
@@ -286,21 +290,12 @@ func (s *Session) RunBatchContext(ctx context.Context, progs []isa.Program, thre
 			if err != nil {
 				return nil, err
 			}
-			hits, err := s.alignFn(ctx, p, threshold)
+			hits, err := s.align(ctx, p, threshold)
 			if err != nil {
 				return nil, err
 			}
 			perQuery[i] = hits
 		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		batch, err := core.NewBatchUniform(progs, thresholdFrac)
-		if err != nil {
-			return nil, err
-		}
-		perQuery = batch.Align(s.ref)
 	}
 
 	kernelOne := fpga.Time(est, len(s.ref), nil).Seconds

@@ -238,15 +238,6 @@ func (tm *alignerMetrics) recordCtxErr(err error) {
 	}
 }
 
-// kernelChosen records one dispatch decision.
-func (tm *alignerMetrics) kernelChosen(bitparallel bool) {
-	if bitparallel {
-		tm.kernelBitpar.Inc()
-	} else {
-		tm.kernelScalar.Inc()
-	}
-}
-
 // observeSince records d = now - t0 on h; a helper so call sites stay one
 // line.
 func observeSince(h *telemetry.Histogram, t0 time.Time) { h.Observe(time.Since(t0)) }

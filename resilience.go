@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"fabp/internal/bitpar"
 	"fabp/internal/core"
 	"fabp/internal/faultinject"
 	"fabp/internal/retry"
@@ -210,19 +209,19 @@ func (fc *failureCollector) firstRealError() error {
 	return fallback
 }
 
-// gatherShardsResilient is the resilient arm of the gather-style scans
-// (scanShardsCtx, Session.scan): every shard runs under the retry/hedge
+// gatherResilient is the resilient arm of the aligner's shard gather
+// (scanShardsCtx): every shard runs under the aligner's retry/hedge
 // policy, failures are collected, and the outcome depends on the mode —
 // without partial results the first unrecoverable failure cancels the
 // remaining shards and fails the scan; with them the scan completes on
 // the surviving shards and returns a *PartialError beside the hits.
-func gatherShardsResilient(ctx context.Context, pool *sched.Pool, rp RetryPolicy, partial bool, tm *alignerMetrics, shards []sched.Shard, scan func(lo, hi int) []core.Hit) ([]core.Hit, error) {
-	res := newResilience(rp, tm)
+func (a *Aligner) gatherResilient(ctx context.Context, shards []sched.Shard, scan func(lo, hi int) []core.Hit) ([]core.Hit, error) {
+	res := newResilience(a.retryPolicy, &a.tm)
 	fc := &failureCollector{}
 	sctx, cancelShards := context.WithCancel(ctx)
 	defer cancelShards()
-	hits, gerr := sched.GatherCtx(sctx, pool, len(shards), func(i int) []core.Hit {
-		out, err := sched.ProduceResilient(sctx, pool, res, uint64(i), func(actx context.Context) ([]core.Hit, error) {
+	hits, gerr := sched.GatherCtx(sctx, a.pool, len(shards), func(i int) []core.Hit {
+		out, err := sched.ProduceResilient(sctx, a.pool, res, uint64(i), func(actx context.Context) ([]core.Hit, error) {
 			if err := actx.Err(); err != nil {
 				return nil, err
 			}
@@ -230,7 +229,7 @@ func gatherShardsResilient(ctx context.Context, pool *sched.Pool, rp RetryPolicy
 		})
 		if err != nil {
 			fc.add(shards[i], err)
-			if !partial {
+			if !a.partial {
 				// Shed the rest of the plan; the scan is already lost.
 				cancelShards()
 			}
@@ -242,32 +241,26 @@ func gatherShardsResilient(ctx context.Context, pool *sched.Pool, rp RetryPolicy
 		return nil, err // the caller's cancel/deadline wins over shard failures
 	}
 	if len(fc.failed) > 0 {
-		if !partial {
+		if !a.partial {
 			return nil, fc.firstRealError()
 		}
-		tm.partial.Inc()
+		a.tm.partial.Inc()
 		return hits, fc.partialError()
 	}
 	return hits, gerr
-}
-
-// gatherResilient routes the aligner's shard gather through the resilient
-// path under its own policy and mode.
-func (a *Aligner) gatherResilient(ctx context.Context, shards []sched.Shard, scan func(lo, hi int) []core.Hit) ([]core.Hit, error) {
-	return gatherShardsResilient(ctx, a.pool, a.retryPolicy, a.partial, &a.tm, shards, scan)
 }
 
 // gatherBatchResilient is the fused batch scan's resilient arm. Batches
 // have no partial mode — a shard that still fails after the retry policy
 // is exhausted fails the whole batch (every query's results depend on
 // every shard).
-func gatherBatchResilient(ctx context.Context, rp RetryPolicy, tm *alignerMetrics, shards []sched.Shard, k int, scanShard func(i int) [][]bitpar.Hit) ([][]bitpar.Hit, error) {
+func gatherBatchResilient(ctx context.Context, pool *sched.Pool, rp RetryPolicy, tm *alignerMetrics, shards []sched.Shard, k int, scanShard func(i int) [][]core.Hit) ([][]core.Hit, error) {
 	res := newResilience(rp, tm)
 	fc := &failureCollector{}
 	sctx, cancelBatch := context.WithCancel(ctx)
 	defer cancelBatch()
-	perQuery, gerr := sched.GatherBatchCtx(sctx, sched.Shared(), len(shards), k, func(i int) [][]bitpar.Hit {
-		out, err := sched.ProduceResilient(sctx, sched.Shared(), res, uint64(i), func(actx context.Context) ([][]bitpar.Hit, error) {
+	perQuery, gerr := sched.GatherBatchCtx(sctx, pool, len(shards), k, func(i int) [][]core.Hit {
+		out, err := sched.ProduceResilient(sctx, pool, res, uint64(i), func(actx context.Context) ([][]core.Hit, error) {
 			if err := actx.Err(); err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package fabp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -79,51 +80,63 @@ func ptrInt(v int) *int { return &v }
 
 // TestScanMatchesLegacy pins the wrapper contract: Scan and the legacy
 // Align*/AlignDatabase* entrypoints are one spine, so their hits are
-// identical for every kernel and both target shapes.
+// identical for every kernel and both target shapes — and every kernel
+// matches the KernelScalar oracle. Target lengths straddle the query
+// length and the old 64 Ki-nt auto crossover, and each Scan runs under
+// both a background and a cancelable context.
 func TestScanMatchesLegacy(t *testing.T) {
-	ref, genes := SyntheticReference(11, 30_000, 2, 25)
-	db, err := DatabaseFromReference("synt", ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, genes := SyntheticReference(11, 70_000, 2, 25)
 	q, err := NewQuery(genes[0].Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kernel := range []Kernel{KernelAuto, KernelScalar, KernelBitParallel} {
-		a, err := NewAligner(q, WithKernelType(kernel))
+	lq := q.Elements()
+	for _, n := range []int{lq - 1, lq, lq + 63, 64<<10 - 1, 64 << 10, 64<<10 + 1} {
+		ref := &Reference{seq: full.seq[:n]}
+		db, err := DatabaseFromReference("synt", ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		legacyHits := a.Align(ref)
-		res, err := Scan(context.Background(), ScanRequest{Query: q, Reference: ref, Kernel: kernel})
+		oracle, err := Scan(context.Background(), ScanRequest{Query: q, Reference: ref, Kernel: KernelScalar})
 		if err != nil {
-			t.Fatalf("%v reference scan: %v", kernel, err)
+			t.Fatal(err)
 		}
-		if res.Threshold != a.Threshold() {
-			t.Errorf("%v: Scan threshold %d, legacy %d", kernel, res.Threshold, a.Threshold())
+		oracleDB, err := Scan(context.Background(), ScanRequest{Query: q, Database: db, Kernel: KernelScalar})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(res.Hits) != len(legacyHits) {
-			t.Fatalf("%v: Scan %d hits, legacy %d", kernel, len(res.Hits), len(legacyHits))
+		if n >= 64<<10 && len(oracle.Hits) == 0 {
+			t.Fatalf("len %d: oracle found no hits; test is vacuous", n)
 		}
-		for i := range legacyHits {
-			if res.Hits[i] != legacyHits[i] {
-				t.Errorf("%v hit %d: Scan %+v, legacy %+v", kernel, i, res.Hits[i], legacyHits[i])
+		for _, kernel := range []Kernel{KernelAuto, KernelScalar, KernelBitParallel} {
+			a, err := NewAligner(q, WithKernelType(kernel))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			label := fmt.Sprintf("len %d %v", n, kernel)
+			assertHitsEqual(t, label+" Align", oracle.Hits, a.Align(ref))
+			assertRecordHitsEqual(t, label+" AlignDatabase", oracleDB.RecordHits, a.AlignDatabase(db))
 
-		legacyRec := a.AlignDatabase(db)
-		dres, err := Scan(context.Background(), ScanRequest{Query: q, Database: db, Kernel: kernel})
-		if err != nil {
-			t.Fatalf("%v database scan: %v", kernel, err)
-		}
-		if len(dres.RecordHits) != len(legacyRec) {
-			t.Fatalf("%v: Scan %d record hits, legacy %d", kernel, len(dres.RecordHits), len(legacyRec))
-		}
-		for i := range legacyRec {
-			if dres.RecordHits[i] != legacyRec[i] {
-				t.Errorf("%v record hit %d: Scan %+v, legacy %+v", kernel, i, dres.RecordHits[i], legacyRec[i])
+			for _, cancelable := range []bool{false, true} {
+				ctx := context.Background()
+				if cancelable {
+					var cancel context.CancelFunc
+					ctx, cancel = context.WithCancel(ctx)
+					defer cancel()
+				}
+				res, err := Scan(ctx, ScanRequest{Query: q, Reference: ref, Kernel: kernel})
+				if err != nil {
+					t.Fatalf("%s reference scan: %v", label, err)
+				}
+				if res.Threshold != a.Threshold() {
+					t.Errorf("%s: Scan threshold %d, legacy %d", label, res.Threshold, a.Threshold())
+				}
+				assertHitsEqual(t, label+" Scan(Reference)", oracle.Hits, res.Hits)
+				dres, err := Scan(ctx, ScanRequest{Query: q, Database: db, Kernel: kernel})
+				if err != nil {
+					t.Fatalf("%s database scan: %v", label, err)
+				}
+				assertRecordHitsEqual(t, label+" Scan(Database)", oracleDB.RecordHits, dres.RecordHits)
 			}
 		}
 	}
@@ -478,4 +491,3 @@ func TestScanCacheInvalidationByContent(t *testing.T) {
 		t.Errorf("refB first scan outcome %q, want %q", resB.Cache, CacheMiss)
 	}
 }
-

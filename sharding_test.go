@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fabp/internal/bitpar"
+	"fabp/internal/core"
 )
 
 // buildShardDB builds a multi-record database of the given total size with
@@ -41,9 +42,11 @@ func sameRecordHits(t *testing.T, label string, want, got []RecordHit) {
 }
 
 // TestShardedAlignDatabaseGolden proves the sharded scan bit-exact against
-// the seed serial path (scan the whole concatenated sequence with the
-// kernel, then attribute) for both kernels, with shards small enough to
-// force many tiles and ragged tails.
+// the serial golden path (scan the whole concatenated sequence with the
+// scalar engine, then attribute) for every kernel, with shards small
+// enough to force many tiles and ragged tails, at database lengths
+// straddling the old 64 Ki-nt auto crossover (the 3 000-nt decoy record
+// counts toward the total).
 func TestShardedAlignDatabaseGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -53,6 +56,10 @@ func TestShardedAlignDatabaseGolden(t *testing.T) {
 		{"bitparallel-large", 90_000, KernelBitParallel},
 		{"scalar-small", 20_000, KernelScalar},
 		{"auto-large", 70_000, KernelAuto},
+		{"auto-64Ki-1", 64<<10 - 1 - 3_000, KernelAuto},
+		{"auto-64Ki", 64<<10 - 3_000, KernelAuto},
+		{"auto-64Ki+1", 64<<10 + 1 - 3_000, KernelAuto},
+		{"scalar-64Ki", 64<<10 - 3_000, KernelScalar},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, genes := buildShardDB(t, 400+int64(tc.size), tc.size)
@@ -65,8 +72,12 @@ func TestShardedAlignDatabaseGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Seed serial path: one full-sequence kernel scan + attribution.
-			serial := toRecordHits(d.d.Attribute(a.alignSeq(d.d.Seq()), q.Elements()))
+			// Serial golden path: one full-sequence engine scan + attribution.
+			e, err := core.NewEngine(q.program, a.Threshold())
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial := toRecordHits(d.d.Attribute(e.Align(d.d.Seq()), q.Elements()))
 			sharded := a.AlignDatabase(d)
 			sameRecordHits(t, tc.name, serial, sharded)
 			found := false
@@ -126,7 +137,9 @@ func TestAlignDatabaseStream(t *testing.T) {
 
 // TestAlignStreamHonorsKernel is the regression for the silent-scalar bug:
 // a streamed scan must produce exactly Align's hits under every kernel
-// mode, including across chunk boundaries.
+// mode that streams, including across chunk boundaries, and KernelScalar
+// — the in-memory oracle — must be refused with ErrBadOption rather than
+// silently run another kernel.
 func TestAlignStreamHonorsKernel(t *testing.T) {
 	defer func(old int) { streamChunkLetters = old }(streamChunkLetters)
 	streamChunkLetters = 4096 // force many chunk-boundary carries
@@ -146,10 +159,17 @@ func TestAlignStreamHonorsKernel(t *testing.T) {
 			t.Fatal("no hits; test is vacuous")
 		}
 		var got []Hit
-		if err := a.AlignStream(strings.NewReader(ref.String()), func(h Hit) error {
+		err = a.AlignStream(strings.NewReader(ref.String()), func(h Hit) error {
 			got = append(got, h)
 			return nil
-		}); err != nil {
+		})
+		if kernel == KernelScalar {
+			if !errors.Is(err, ErrBadOption) || got != nil {
+				t.Fatalf("scalar stream: err %v with %d hits, want ErrBadOption and none", err, len(got))
+			}
+			continue
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
@@ -163,9 +183,9 @@ func TestAlignStreamHonorsKernel(t *testing.T) {
 	}
 }
 
-// TestAlignBatchShardedGolden: the pooled (query × shard) batch must be
-// bit-exact with the retained serial batch path and with per-query
-// aligners.
+// TestAlignBatchShardedGolden: the pooled fused batch must be bit-exact
+// with the serial golden path (one scalar engine per query over the whole
+// reference) and with per-query aligners.
 func TestAlignBatchShardedGolden(t *testing.T) {
 	ref, genes := SyntheticReference(555, 80_000, 6, 45)
 	var queries []*Query
@@ -180,9 +200,13 @@ func TestAlignBatchShardedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := alignBatchBitparSerial(queries, ref, 0.8)
-	if err != nil {
-		t.Fatal(err)
+	serial := make([][]Hit, len(queries))
+	for i, q := range queries {
+		thr, err := core.ThresholdFromFraction(0.8, q.MaxScore())
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = engineHits(t, q, ref, thr)
 	}
 	if len(sharded) != len(serial) {
 		t.Fatalf("query count %d vs %d", len(sharded), len(serial))

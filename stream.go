@@ -8,6 +8,7 @@ import (
 
 	"fabp/internal/bio"
 	"fabp/internal/bitpar"
+	"fabp/internal/core"
 	"fabp/internal/faultinject"
 	"fabp/internal/retry"
 	"fabp/internal/sched"
@@ -21,13 +22,12 @@ var streamChunkLetters = 1 << 20
 // in fixed-size chunks, packing each chunk ONCE into pooled bit-planes,
 // carrying the last Lq−1 elements plus two elements of comparison context
 // between chunks — the same cross-beat carry the hardware reference buffer
-// implements and core.Engine.AlignReader mirrors — and invokes scan once
-// per chunk with the packed planes and the chunk-local window-start range
-// [lo, hi) that is new in this chunk. Global position = base + local
-// position. The planes alias the pooled builder: scan must finish reading
-// them before returning (every shard of a chunk may read them
-// concurrently; the next chunk's carry reuses the buffers). scan returning
-// an error stops the scan.
+// implements — and invokes scan once per chunk with the packed planes and
+// the chunk-local window-start range [lo, hi) that is new in this chunk.
+// Global position = base + local position. The planes alias the pooled
+// builder: scan must finish reading them before returning (every shard of
+// a chunk may read them concurrently; the next chunk's carry reuses the
+// buffers). scan returning an error stops the scan.
 //
 // m is the longest query's element count — it sets the carry and the
 // windows complete mid-stream — and mFinal the shortest's, which bounds
@@ -155,67 +155,58 @@ func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, tm *alignerMetr
 	}
 }
 
-// streamChunkHits scans one packed chunk's fresh window range with the
-// aligner's bit-parallel kernel, sharding large chunks across the pool
-// exactly like a database scan — every shard reads the one shared packed
-// chunk. A chunk that fits one shard runs inline on the calling goroutine
-// (the steady-state streaming path allocates nothing here until hits
-// appear).
-func (a *Aligner) streamChunkHits(ctx context.Context, pp *bitpar.Planes, lo, hi int) ([]bitpar.Hit, error) {
-	if hi <= lo&^63+sched.DefaultShardLen {
-		// One shard: run inline without planning — no shard slice, no
-		// closure, no goroutine. This is every chunk of a default-sized
-		// stream, so the steady state allocates nothing here.
-		a.tm.shardsPlanned.Inc()
-		ts := time.Now()
-		hits := a.kernel.AlignPlanesRange(pp, lo, hi)
-		observeSince(a.tm.shardLatency, ts)
-		a.tm.shardsRun.Inc()
-		return hits, nil
-	}
-	shards := sched.PlanRange(lo, hi, 0)
-	a.tm.shardsPlanned.Add(uint64(len(shards)))
-	return sched.GatherCtx(ctx, a.pool, len(shards), func(i int) []bitpar.Hit {
-		ts := time.Now()
-		hits := a.kernel.AlignPlanesRange(pp, shards[i].Lo, shards[i].Hi)
-		observeSince(a.tm.shardLatency, ts)
-		a.tm.shardsRun.Inc()
-		return hits
-	})
-}
-
-// batchChunkHits is streamChunkHits for a fused batch: one pass over the
-// shared packed chunk scores every query, sharded across the process-wide
-// pool with per-query hit streams merged in position order. Fused-pass and
-// plane-reuse accounting matches the database batch path, so stream and
-// database fusion read identically on the instrument panel.
-func batchChunkHits(ctx context.Context, bk *bitpar.BatchKernel, tm *alignerMetrics, pp *bitpar.Planes, lo, hi int) ([][]bitpar.Hit, error) {
-	shards := sched.PlanRange(lo, hi, 0)
-	tm.shardsPlanned.Add(uint64(len(shards)))
-	scanShard := func(i int) [][]bitpar.Hit {
-		ts := time.Now()
-		dst := bk.AlignPlanesRange(pp, shards[i].Lo, shards[i].Hi, nil)
-		observeSince(tm.shardLatency, ts)
-		tm.shardsRun.Inc()
-		return dst
-	}
+// batchChunkHits scans one packed chunk's fresh window range [lo, hi)
+// for every query of bk in one pass over the shared planes, sharded across
+// pool like a database scan, with per-query hit streams merged in
+// position order; a single query is K=1. Under rp or active fault
+// injection every shard routes through the resilient path (retries,
+// hedging, the dispatch fault hook). Otherwise a chunk that fits one
+// shard runs inline into scratch — the previous chunk's result, whose
+// hits the caller has already delivered — so the steady-state stream
+// allocates nothing here until hits appear. Fused-pass and plane-reuse
+// accounting matches the database batch path, so stream and database
+// fusion read identically on the instrument panel.
+func batchChunkHits(ctx context.Context, bk *bitpar.BatchKernel, pool *sched.Pool, rp RetryPolicy, tm *alignerMetrics, pp *bitpar.Planes, lo, hi int, scratch [][]core.Hit) ([][]core.Hit, error) {
 	tk := time.Now()
-	var perQuery [][]bitpar.Hit
-	var err error
-	if rp := currentBatchRetryPolicy(); rp.enabled() || faultinject.Enabled() {
-		perQuery, err = gatherBatchResilient(ctx, rp, tm, shards, bk.NumQueries(), scanShard)
-	} else if len(shards) == 1 {
-		perQuery = scanShard(0)
+	nShards := 1
+	var perQuery [][]core.Hit
+	if resilient := rp.enabled() || faultinject.Enabled(); !resilient && hi <= lo&^63+sched.DefaultShardLen {
+		for qi := range scratch {
+			scratch[qi] = scratch[qi][:0]
+		}
+		tm.shardsPlanned.Inc()
+		perQuery = scanChunkShard(bk, tm, pp, lo, hi, scratch)
 	} else {
-		perQuery, err = sched.GatherBatchCtx(ctx, sched.Shared(), len(shards), bk.NumQueries(), scanShard)
-	}
-	if err != nil {
-		return nil, err
+		shards := sched.PlanRange(lo, hi, 0)
+		nShards = len(shards)
+		tm.shardsPlanned.Add(uint64(nShards))
+		scanShard := func(i int) [][]core.Hit {
+			return scanChunkShard(bk, tm, pp, shards[i].Lo, shards[i].Hi, nil)
+		}
+		var err error
+		if resilient {
+			perQuery, err = gatherBatchResilient(ctx, pool, rp, tm, shards, bk.NumQueries(), scanShard)
+		} else {
+			perQuery, err = sched.GatherBatchCtx(ctx, pool, nShards, bk.NumQueries(), scanShard)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	observeSince(tm.batchKernelLatency, tk)
-	tm.batchFusedPasses.Add(uint64(len(shards)))
+	tm.batchFusedPasses.Add(uint64(nShards))
 	tm.batchPlaneBytesSaved.Add(uint64(bk.NumQueries()-1) * uint64(pp.SizeBytes()))
 	return perQuery, nil
+}
+
+// scanChunkShard scans window starts [lo, hi) of a packed chunk for the
+// whole batch, appending into dst, timed and counted as one shard.
+func scanChunkShard(bk *bitpar.BatchKernel, tm *alignerMetrics, pp *bitpar.Planes, lo, hi int, dst [][]core.Hit) [][]core.Hit {
+	ts := time.Now()
+	dst = bk.AlignPlanesRange(pp, lo, hi, dst)
+	observeSince(tm.shardLatency, ts)
+	tm.shardsRun.Inc()
+	return dst
 }
 
 // AlignBatchStream scans one nucleotide stream with many queries in a
@@ -257,12 +248,15 @@ func AlignBatchStreamContext(ctx context.Context, queries []*Query, r io.Reader,
 	tm.kernelBitpar.Add(k)
 	t0 := time.Now()
 	defer func() { observeSince(tm.alignLatency, t0) }()
-	err = scanChunks(ctx, r, bk.MaxElems(), bk.MinElems(), tm, currentBatchRetryPolicy(),
+	rp := currentBatchRetryPolicy()
+	var scratch [][]core.Hit
+	err = scanChunks(ctx, r, bk.MaxElems(), bk.MinElems(), tm, rp,
 		func(pp *bitpar.Planes, lo, hi, base int) error {
-			perQuery, cerr := batchChunkHits(ctx, bk, tm, pp, lo, hi)
+			perQuery, cerr := batchChunkHits(ctx, bk, sched.Shared(), rp, tm, pp, lo, hi, scratch)
 			if cerr != nil {
 				return cerr
 			}
+			scratch = perQuery
 			for qi, hits := range perQuery {
 				tm.hits.Add(uint64(len(hits)))
 				for _, h := range hits {

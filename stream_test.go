@@ -49,7 +49,7 @@ func TestAlignStreamReaderErrorFlushesCompleteWindows(t *testing.T) {
 	}
 	sentinel := errors.New("disk on fire")
 
-	for _, kernel := range []Kernel{KernelScalar, KernelBitParallel} {
+	for _, kernel := range []Kernel{KernelAuto, KernelBitParallel} {
 		a, err := NewAligner(q, WithThresholdFraction(0.7), WithKernelType(kernel))
 		if err != nil {
 			t.Fatal(err)

@@ -44,9 +44,11 @@ func (a *Aligner) AlignVerified(ref *Reference, opts VerifyOptions) ([]VerifiedH
 	if opts.ContextResidues == 0 {
 		opts.ContextResidues = 10
 	}
-	raw := a.alignSeq(ref.seq)
+	raw := a.Align(ref)
 	if opts.MaxHits > 0 && len(raw) > opts.MaxHits {
-		// Keep the best-scoring hits.
+		// Keep the best-scoring hits, sorting a copy: Align may return a
+		// cached result, which is shared and read-only.
+		raw = append([]Hit(nil), raw...)
 		sort.Slice(raw, func(i, j int) bool { return raw[i].Score > raw[j].Score })
 		raw = raw[:opts.MaxHits]
 	}
