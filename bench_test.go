@@ -112,31 +112,38 @@ func BenchmarkEngineAlign(b *testing.B) {
 }
 
 // BenchmarkTBLASTNSearch measures the heuristic baseline on the same
-// workload shape (1 Mnt reference).
+// workload shape (1 Mnt reference), one-hit and in the served two-hit
+// configuration, at 1, 2 and 6 threads (frames cap the parallelism at 6).
 func BenchmarkTBLASTNSearch(b *testing.B) {
-	for _, threads := range []int{1, 4} {
-		b.Run(fmt.Sprintf("threads%d", threads), func(b *testing.B) {
-			ref, genes := SyntheticReference(2, 1_000_000, 4, 50)
-			q, err := bio.ParseProtSeq(genes[0].Protein)
-			if err != nil {
-				b.Fatal(err)
-			}
-			refSeq, err := bio.ParseNucSeq(ref.String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			idx, err := tblastn.BuildIndex(q, 11)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := tblastn.SearchWithIndex(idx, refSeq, tblastn.Options{Threads: threads}); err != nil {
-					b.Fatal(err)
+	ref, genes := SyntheticReference(2, 1_000_000, 4, 50)
+	q, err := bio.ParseProtSeq(genes[0].Protein)
+	if err != nil {
+		b.Fatal(err)
+	}
+	refSeq, err := bio.ParseNucSeq(ref.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := tblastn.BuildIndex(q, 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, twoHit := range []bool{false, true} {
+		seeding := "onehit"
+		if twoHit {
+			seeding = "twohit"
+		}
+		for _, threads := range []int{1, 2, 6} {
+			b.Run(fmt.Sprintf("%s/threads%d", seeding, threads), func(b *testing.B) {
+				opts := tblastn.Options{TwoHit: twoHit, Threads: threads}
+				b.SetBytes(int64(len(refSeq)) / 4)
+				for i := 0; i < b.N; i++ {
+					if _, _, err := tblastn.SearchWithIndex(idx, refSeq, opts); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.SetBytes(int64(len(refSeq)) / 4)
-		})
+			})
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ type perfReport struct {
 	LoadWarmNs      float64 `json:"load_warm_ns,omitempty"`
 	LoadWarmSpeedup float64 `json:"load_warm_speedup,omitempty"`
 	// SearchSpeedup is search_serial ns/op over search_sharded ns/op —
-	// the sched-sharded protein scan's measured thread-scaling gain at
+	// the frame-parallel protein scan's measured thread-scaling gain at
 	// GOMAXPROCS workers (results are byte-identical by construction, so
 	// this is pure wall-clock).
 	SearchSpeedup float64 `json:"search_speedup,omitempty"`
@@ -238,7 +238,7 @@ func runPerf(outDir string, scale, batchN int, cacheOn bool) {
 	}
 
 	// Protein-search pair: the TBLASTN-style pipeline over the same
-	// reference, serial versus sched-sharded at GOMAXPROCS workers. These
+	// reference, serial versus frame-parallel at GOMAXPROCS workers. These
 	// run before the cache rows so the result cache is still disabled and
 	// every op is a real scan.
 	{
@@ -255,9 +255,9 @@ func runPerf(outDir string, scale, batchN int, cacheOn bool) {
 			}
 			return len(hsps)
 		}
-		// Floor at 2 so the sharded row always exercises the
-		// speculate+replay path even on a single-CPU runner (there the
-		// ratio reads as sharding overhead rather than speedup).
+		// Floor at 2 so the sharded row always runs frames on several
+		// workers, even on a single-CPU runner (there the ratio reads as
+		// pool overhead rather than speedup).
 		threads := runtime.GOMAXPROCS(0)
 		if threads < 2 {
 			threads = 2

@@ -153,6 +153,18 @@ func loadDatabase(refPath, dbPath string) (*fabp.Database, error) {
 	return nil, fmt.Errorf("a database is required: -ref db.fasta or -db db.fdb")
 }
 
+// newHTTPServer builds the listener-side server: every request context
+// derives from baseCtx, and a client gets readHeaderTimeout to send its
+// headers before the connection is closed. Bodies are not time-bounded
+// here, since /align/stream reads a reference of any length.
+func newHTTPServer(h http.Handler, baseCtx context.Context, readHeaderTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		BaseContext:       func(net.Listener) context.Context { return baseCtx },
+		ReadHeaderTimeout: readHeaderTimeout,
+	}
+}
+
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains: the
 // listener closes immediately, in-flight scans get drainTimeout to finish
 // (their request contexts are canceled past that), and the call returns
@@ -167,10 +179,7 @@ func serve(s *server, addr string, drainTimeout time.Duration) error {
 	// shard checkpoint.
 	baseCtx, abortScans := context.WithCancel(context.Background())
 	defer abortScans()
-	srv := &http.Server{
-		Handler:     s.handler(),
-		BaseContext: func(net.Listener) context.Context { return baseCtx },
-	}
+	srv := newHTTPServer(s.handler(), baseCtx, serverReadHeaderTimeout)
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -66,6 +66,15 @@ const (
 	// serverMaxRetryBudget caps a request's retry_budget: a client cannot
 	// buy more re-execution than this no matter what it asks for.
 	serverMaxRetryBudget = 10
+	// serverMaxBodyBytes caps the JSON body of /align, /align/batch and
+	// /search; larger bodies are answered 413 before any decoding work
+	// piles up. A full batch of 64 queries of 8000 residues fits with room
+	// to spare. /align/stream bodies are the reference itself and stay
+	// unbounded.
+	serverMaxBodyBytes = 1 << 20
+	// serverReadHeaderTimeout bounds how long a client may take to send
+	// its request headers, so a slow-header client cannot pin a goroutine.
+	serverReadHeaderTimeout = 10 * time.Second
 )
 
 // server is the fabp-serve handler state.
@@ -96,6 +105,7 @@ type server struct {
 
 type serveMetrics struct {
 	requests, rejected, timeouts, clientGone, failed *telemetry.Counter
+	tooLarge                                         *telemetry.Counter
 	batchRequests, batchQueries                      *telemetry.Counter
 	streamRequests                                   *telemetry.Counter
 	searchRequests                                   *telemetry.Counter
@@ -144,6 +154,7 @@ func newServer(cfg serverConfig) *server {
 			timeouts:       reg.Counter("serve.timeouts"),
 			clientGone:     reg.Counter("serve.client.gone"),
 			failed:         reg.Counter("serve.failed"),
+			tooLarge:       reg.Counter("serve.rejected.too_large"),
 			batchRequests:  reg.Counter("serve.batch.requests"),
 			batchQueries:   reg.Counter("serve.batch.queries"),
 			streamRequests: reg.Counter("serve.stream.requests"),
@@ -247,6 +258,25 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// decodeBody decodes a JSON request body of at most serverMaxBodyBytes
+// into v. On failure it writes the error response (413 for an oversized
+// body, counted on serve.rejected.too_large; 400 otherwise) and reports
+// false.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serverMaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.m.tooLarge.Inc()
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		return false
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	return false
+}
+
 // retryAfterSeconds rounds a shed hint up to whole seconds for the
 // Retry-After header (minimum 1 — a zero hint is not actionable).
 func retryAfterSeconds(d time.Duration) string {
@@ -343,8 +373,7 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.m.latency.Observe(time.Since(t0)) }()
 
 	var req alignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -501,8 +530,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.m.latency.Observe(time.Since(t0)) }()
 
 	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -677,8 +705,7 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	s.m.batchRequests.Inc()
 
 	var req batchAlignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {

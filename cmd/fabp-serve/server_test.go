@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -1235,5 +1237,68 @@ func TestSearchCacheProvenance(t *testing.T) {
 	}
 	if fmt.Sprintf("%+v", first.HSPs) != fmt.Sprintf("%+v", second.HSPs) {
 		t.Fatal("cached HSPs differ from the seeding search")
+	}
+}
+
+// TestOversizedBodyRejected checks every JSON route answers a body past
+// serverMaxBodyBytes with 413 (counted on serve.rejected.too_large) and
+// still serves a normal request afterwards.
+func TestOversizedBodyRejected(t *testing.T) {
+	s, protein := testServer(t, serverConfig{maxInflight: 4})
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	huge := `{"query":"` + strings.Repeat("M", serverMaxBodyBytes) + `"}`
+	for _, path := range []string{"/align", "/align/batch", "/search"} {
+		before := fabp.DefaultMetrics().Snapshot().Counters["serve.rejected.too_large"]
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, resp.StatusCode)
+		}
+		if after := fabp.DefaultMetrics().Snapshot().Counters["serve.rejected.too_large"]; after != before+1 {
+			t.Errorf("%s: serve.rejected.too_large went %d -> %d, want +1", path, before, after)
+		}
+	}
+
+	resp, body := postSearch(t, ts.URL, searchRequest{Query: protein, TwoHit: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search after 413s: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestSlowHeaderClosed checks a client that never finishes its request
+// headers is disconnected once the read-header timeout passes, instead
+// of holding its connection open indefinitely.
+func TestSlowHeaderClosed(t *testing.T) {
+	s, _ := testServer(t, serverConfig{maxInflight: 4})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const headerTimeout = 200 * time.Millisecond
+	srv := newHTTPServer(s.handler(), context.Background(), headerTimeout)
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /search HTTP/1.1\r\nHost: fabp\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	conn.SetReadDeadline(t0.Add(10 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	if err != io.EOF {
+		t.Fatalf("read after partial headers: n=%d err=%v, want the server to close the connection", n, err)
+	}
+	if waited := time.Since(t0); waited < headerTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", waited, headerTimeout)
 	}
 }

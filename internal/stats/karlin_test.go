@@ -107,3 +107,20 @@ func TestGappedParams(t *testing.T) {
 		t.Error("gapped K must be below ungapped")
 	}
 }
+
+// TestUngappedBLOSUM62Memoized pins the memoization: every call returns
+// the bit-identical parameters a fresh solve produces.
+func TestUngappedBLOSUM62Memoized(t *testing.T) {
+	want := solveUngappedBLOSUM62()
+	for call := 0; call < 3; call++ {
+		got := UngappedBLOSUM62()
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{{"Lambda", got.Lambda, want.Lambda}, {"K", got.K, want.K}, {"H", got.H, want.H}} {
+			if math.Float64bits(f.got) != math.Float64bits(f.want) {
+				t.Fatalf("call %d: %s = %v, fresh solve gives %v", call, f.name, f.got, f.want)
+			}
+		}
+	}
+}

@@ -56,34 +56,60 @@ func (tf *TranslatedFrame) NucStart(i int) int {
 	return tf.refLen - 1 - (off + 3*i + 2)
 }
 
-// Translate6 produces all six reading frames of the reference.
-func Translate6(ref bio.NucSeq) []TranslatedFrame {
-	rc := ref.ReverseComplement()
-	frames := make([]TranslatedFrame, 0, NumFrames)
-	for f := Frame(0); f < NumFrames; f++ {
-		src := ref
-		if f.IsReverse() {
-			src = rc
-		}
-		frames = append(frames, TranslatedFrame{
-			Frame:  f,
-			Prot:   src.Translate(f.Offset()),
-			refLen: len(ref),
-		})
+// codonAA maps a dense codon index (bio.Codon.Index) to its amino acid.
+var codonAA = func() (t [bio.NumCodons]bio.AminoAcid) {
+	for i := range t {
+		t[i] = bio.CodonFromIndex(i).Translate()
 	}
-	return frames
+	return t
+}()
+
+// translateFrame translates one reading frame of ref. It equals
+// ref.Translate(f.Offset()) for forward frames and
+// ref.ReverseComplement().Translate(f.Offset()) for reverse ones, but a
+// reverse frame reads ref right to left and complements the codon index
+// (every base is 2 bits, so complementing all three is ^63), never
+// allocating the reverse complement.
+func translateFrame(ref bio.NucSeq, f Frame) TranslatedFrame {
+	tf := TranslatedFrame{Frame: f, refLen: len(ref)}
+	off := f.Offset()
+	if len(ref) < off+3 {
+		return tf
+	}
+	n := (len(ref) - off) / 3
+	p := make(bio.ProtSeq, n)
+	if !f.IsReverse() {
+		s := ref[off : off+3*n]
+		for k := range p {
+			c := s[3*k : 3*k+3 : 3*k+3]
+			p[k] = codonAA[(int(c[0])<<4|int(c[1])<<2|int(c[2]))&63]
+		}
+	} else {
+		// Reverse-complement position off+3k+m is forward position
+		// len(ref)-1-off-3k-m, so codon k reads s[3(n-1-k)+2 .. +0].
+		s := ref[len(ref)-off-3*n : len(ref)-off]
+		for k := range p {
+			b := 3 * (n - 1 - k)
+			c := s[b : b+3 : b+3]
+			p[k] = codonAA[((int(c[2])<<4|int(c[1])<<2|int(c[0]))&63)^63]
+		}
+	}
+	tf.Prot = p
+	return tf
 }
+
+// Translate6 produces all six reading frames of the reference.
+func Translate6(ref bio.NucSeq) []TranslatedFrame { return translateFrames(ref, NumFrames) }
 
 // Translate3 produces only the forward frames — the configuration matching
 // FabP, which searches the given strand.
-func Translate3(ref bio.NucSeq) []TranslatedFrame {
-	frames := make([]TranslatedFrame, 0, 3)
-	for f := Frame(0); f < 3; f++ {
-		frames = append(frames, TranslatedFrame{
-			Frame:  f,
-			Prot:   ref.Translate(f.Offset()),
-			refLen: len(ref),
-		})
+func Translate3(ref bio.NucSeq) []TranslatedFrame { return translateFrames(ref, 3) }
+
+// translateFrames translates frames 0..n-1.
+func translateFrames(ref bio.NucSeq, n int) []TranslatedFrame {
+	frames := make([]TranslatedFrame, n)
+	for f := range frames {
+		frames[f] = translateFrame(ref, Frame(f))
 	}
 	return frames
 }

@@ -47,10 +47,10 @@ type Options struct {
 	// MinScore discards HSPs scoring lower (raw BLOSUM score cutoff).
 	// Zero selects the BLAST default (35); MinScoreAll keeps every HSP.
 	MinScore int
-	// Threads is the worker count (the paper measures 1 and 12). The HSP
-	// set and Stats are invariant under Threads: shards record word hits
-	// in subject order and a serial replay merge runs the exact seeding
-	// state machine, so parallel output is byte-identical to serial.
+	// Threads is the worker count (the paper measures 1 and 12). Frames
+	// are the unit of parallelism, so at most Frames workers run. The HSP
+	// set and Stats are invariant under Threads: each frame runs the same
+	// serial scan and outputs merge in frame order.
 	Threads int
 	// Frames limits the search to the first N frames (3 = forward only,
 	// matching FabP's single-strand scan; 6 = full TBLASTN).
@@ -159,9 +159,7 @@ type HSP struct {
 
 // Stats profiles one search, exposing the pipeline costs the paper
 // discusses (hash build, lookups, extensions). All fields are invariant
-// under Options.Threads; speculative extension work done by shards and
-// discarded at merge is reported only on the tblastn.extensions.speculative
-// telemetry counter.
+// under Options.Threads.
 type Stats struct {
 	IndexEntries int
 	WordLookups  int
@@ -176,8 +174,8 @@ func Search(q bio.ProtSeq, ref bio.NucSeq, opts Options) ([]HSP, Stats, error) {
 }
 
 // SearchContext is Search with cancellation: the scan observes ctx at
-// shard dispatch, shard merge, and periodically inside serial frame
-// scans, returning ctx.Err() once it fires.
+// frame dispatch, frame merge, and periodically inside each frame scan,
+// returning ctx.Err() once it fires.
 func SearchContext(ctx context.Context, q bio.ProtSeq, ref bio.NucSeq, opts Options) ([]HSP, Stats, error) {
 	o, err := opts.Resolve()
 	if err != nil {
@@ -216,21 +214,8 @@ func searchWithIndex(ctx context.Context, idx *Index, ref bio.NucSeq, o *Options
 		return nil, Stats{}, err
 	}
 
-	var frames []TranslatedFrame
-	if o.Frames <= 3 {
-		frames = Translate3(ref)[:o.Frames]
-	} else {
-		frames = Translate6(ref)[:o.Frames]
-	}
-
 	stats := Stats{IndexEntries: idx.Entries()}
-	var all []HSP
-	var err error
-	if o.Threads == 1 {
-		all, err = scanSerial(ctx, idx, frames, o, &stats)
-	} else {
-		all, err = scanSharded(ctx, idx, frames, o, &stats)
-	}
+	frames, all, err := scanFrames(ctx, idx, ref, o, &stats)
 	if err != nil {
 		tm.canceled.Inc()
 		return nil, Stats{}, err
@@ -294,48 +279,70 @@ func lessHSP(a, b *HSP) bool {
 	return a.SEnd < b.SEnd
 }
 
-// diagState is the per-frame seeding state machine: two-hit pairing and
-// extension suppression per diagonal. The serial scan and the sharded
-// replay merge both drive this exact type, which is what makes the
-// parallel path byte-identical to the serial one.
-type diagState struct {
-	twoHit    bool
-	hitWindow int
-	// lastHit[diag] is the subject position of the most recent unpaired
-	// word hit on the diagonal; extended[diag] the subject end of the
-	// last HSP accepted there.
-	lastHit  map[int]int
-	extended map[int]int
+// diagSlot is one diagonal's seeding state, tagged with its diagonal:
+// last is the subject position of the most recent unpaired word hit,
+// ext the subject end of the last HSP accepted there. int32 positions
+// keep a slot at 16 bytes and cover frames of up to 2^31 residues.
+type diagSlot struct {
+	diag, last, ext int32
+	hasLast, hasExt bool
 }
 
-func newDiagState(o *Options) diagState {
-	return diagState{
+// diagRing is the per-frame seeding state machine: two-hit pairing and
+// extension suppression per diagonal, held in a power-of-two ring of
+// slots indexed by diag & mask. A slot whose tag differs reads as empty.
+// The ring is exact: hits arrive in non-decreasing subject order, so at
+// subject position j only diagonals in [j-len(q)+WordSize, j] can still
+// be read, and a ring of at least len(q) slots gives each of them its own
+// slot. A diagonal that takes over a slot only ever evicts a dead one.
+type diagRing struct {
+	twoHit    bool
+	hitWindow int
+	mask      int32
+	slots     []diagSlot
+}
+
+func newDiagRing(qLen int, o *Options) *diagRing {
+	n := 1
+	for n < qLen {
+		n <<= 1
+	}
+	return &diagRing{
 		twoHit:    o.TwoHit,
 		hitWindow: o.HitWindow,
-		lastHit:   map[int]int{},
-		extended:  map[int]int{},
+		mask:      int32(n - 1),
+		slots:     make([]diagSlot, n),
 	}
+}
+
+// slot returns diag's slot, emptying it first if it holds another
+// (necessarily dead) diagonal.
+func (r *diagRing) slot(diag int32) *diagSlot {
+	s := &r.slots[diag&r.mask]
+	if s.diag != diag {
+		*s = diagSlot{diag: diag}
+	}
+	return s
 }
 
 // step feeds the word hit (query position i, subject position j) into
 // the machine and reports whether it triggers an extension. Hits must
 // arrive in non-decreasing subject order.
-func (ds *diagState) step(i, j int) bool {
-	diag := j - i
-	if end, done := ds.extended[diag]; done && j < end {
+func (r *diagRing) step(i, j int) bool {
+	s := r.slot(int32(j - i))
+	if s.hasExt && j < int(s.ext) {
 		return false // already inside an HSP on this diagonal
 	}
-	if !ds.twoHit {
+	if !r.twoHit {
 		return true
 	}
-	prev, ok := ds.lastHit[diag]
 	switch {
-	case !ok || j-prev > ds.hitWindow:
-		ds.lastHit[diag] = j // first hit, or stale: restart the pair
-	case j-prev < WordSize:
+	case !s.hasLast || j-int(s.last) > r.hitWindow:
+		s.last, s.hasLast = int32(j), true // first hit, or stale: restart the pair
+	case j-int(s.last) < WordSize:
 		// Overlapping the remembered hit: keep the earlier one.
 	default:
-		delete(ds.lastHit, diag)
+		s.hasLast = false
 		return true
 	}
 	return false
@@ -343,221 +350,90 @@ func (ds *diagState) step(i, j int) bool {
 
 // accept records an accepted HSP's extent so later hits inside it are
 // suppressed.
-func (ds *diagState) accept(diag, sEnd int) { ds.extended[diag] = sEnd }
+func (r *diagRing) accept(diag, sEnd int) {
+	s := r.slot(int32(diag))
+	s.ext, s.hasExt = int32(sEnd), true
+}
 
-// ctxCheckStride is how many subject positions a serial scan covers
+// ctxCheckStride is how many subject positions a frame scan covers
 // between context checks.
 const ctxCheckStride = 4096
 
-// scanSerial is the canonical single-pass scan: the oracle every
-// parallel execution reproduces exactly.
-func scanSerial(ctx context.Context, idx *Index, frames []TranslatedFrame, o *Options, st *Stats) ([]HSP, error) {
-	var all []HSP
-	q := idx.Query
-	for fi := range frames {
-		tf := &frames[fi]
-		s := tf.Prot
-		ds := newDiagState(o)
-		for j := 0; j+WordSize <= len(s); j++ {
-			if j%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			st.WordLookups++
-			for _, qi := range idx.Lookup(s[j], s[j+1], s[j+2]) {
-				st.WordHits++
-				i := int(qi)
-				if !ds.step(i, j) {
-					continue
-				}
-				st.Extensions++
-				h, ok := extend(q, s, i, j, o.XDrop)
-				if ok && h.Score >= o.MinScore {
-					h.Frame = tf.Frame
-					h.NucPos = tf.NucStart(h.SStart)
-					all = append(all, h)
-					ds.accept(j-i, h.SEnd)
-				}
-			}
-		}
-	}
-	return all, nil
+// frameScan is one frame's translation and scan output.
+type frameScan struct {
+	frame TranslatedFrame
+	hsps  []HSP
+	st    Stats
+	err   error
 }
 
-// seedHit is one recorded word hit (subject position j, query position i).
-type seedHit struct{ j, i int32 }
-
-// extKey addresses a speculative extension by its seed.
-type extKey struct{ i, j int32 }
-
-type extResult struct {
-	h  HSP
-	ok bool
-}
-
-// shardScan is one shard's output: every word hit over its subject range
-// in visit order, plus the extensions its locally-warmed state machine
-// predicted would trigger.
-type shardScan struct {
-	hits []seedHit
-	ext  map[extKey]extResult
-	st   Stats
-}
-
-// minShardStarts floors the shard size so tiny shards don't drown the
-// scan in scheduling overhead (PlanRange additionally rounds to 64).
-const minShardStarts = 512
-
-// searchShardLen picks the subject-range tile size: roughly four shards
-// per worker over the whole translated space, floored at minShardStarts.
-func searchShardLen(totalStarts, threads int) int {
-	n := totalStarts / (threads * 4)
-	if n < minShardStarts {
-		n = minShardStarts
-	}
-	return n
-}
-
-// scanSharded fans frame scans out over a sched pool and then replays
-// the recorded word hits serially. Shards cannot run the seeding state
-// machine exactly — two-hit pairs and HSP suppression cross shard
-// boundaries — so each shard records every hit in subject order and
-// *speculates* on extensions using a state machine warmed with a
-// HitWindow look-back. The merge replays all hits, in serial order,
-// through a fresh machine per frame: where the shard guessed right the
-// precomputed extension is reused; where it guessed wrong the extension
-// runs inline. extend() is a pure function of its seed, so speculation
-// can never change the result — the merge output is byte-identical to
-// scanSerial by construction.
-func scanSharded(ctx context.Context, idx *Index, frames []TranslatedFrame, o *Options, st *Stats) ([]HSP, error) {
-	type shardJob struct {
-		frame  int
-		lo, hi int // subject word-start range
-	}
-	totalStarts := 0
-	for fi := range frames {
-		if n := len(frames[fi].Prot) - WordSize + 1; n > 0 {
-			totalStarts += n
-		}
-	}
-	var jobs []shardJob
-	shardLen := searchShardLen(totalStarts, o.Threads)
-	for fi := range frames {
-		n := len(frames[fi].Prot) - WordSize + 1
-		for _, sh := range sched.PlanRange(0, n, shardLen) {
-			jobs = append(jobs, shardJob{frame: fi, lo: sh.Lo, hi: sh.Hi})
-		}
-	}
-
-	results := make([]*shardScan, len(jobs))
-	pool := sched.NewPool(o.Threads)
-	if err := pool.EachCtx(ctx, len(jobs), func(k int) {
-		if ctx.Err() != nil {
-			return // shed: the merge spots the missing shard below
-		}
-		j := jobs[k]
-		results[k] = speculateShard(idx, &frames[j.frame], j.lo, j.hi, o)
+// scanFrames translates and scans the first o.Frames frames of ref. Each
+// frame starts its own diagonal state, so frames are independent jobs:
+// they run on a pool of min(Threads, Frames) workers (Threads=1 runs them
+// inline, in order) and their outputs are concatenated in frame order.
+// That is the serial scan's exact order, so HSPs and Stats do not depend
+// on Threads. With more cores than frames the extra cores stay idle.
+func scanFrames(ctx context.Context, idx *Index, ref bio.NucSeq, o *Options, st *Stats) ([]TranslatedFrame, []HSP, error) {
+	outs := make([]frameScan, o.Frames)
+	pool := sched.NewPool(min(o.Threads, o.Frames))
+	if err := pool.EachCtx(ctx, len(outs), func(fi int) {
+		out := &outs[fi]
+		out.frame = translateFrame(ref, Frame(fi))
+		out.hsps, out.st, out.err = scanFrame(ctx, idx, &out.frame, o)
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	speculated := uint64(0)
-	for _, sc := range results {
-		if sc == nil {
-			// A shard was shed after the dispatch loop had already
-			// drained: surface the cancellation EachCtx missed.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, context.Canceled
-		}
-		speculated += uint64(len(sc.ext))
-	}
-	tm.speculative.Add(speculated)
-
-	// Serial replay merge, frame by frame, shard by shard in subject
-	// order — the exact hit sequence scanSerial sees.
+	frames := make([]TranslatedFrame, len(outs))
 	var all []HSP
-	q := idx.Query
-	cursor := 0
-	for fi := range frames {
-		tf := &frames[fi]
-		s := tf.Prot
-		ds := newDiagState(o)
-		for ; cursor < len(jobs) && jobs[cursor].frame == fi; cursor++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := faultinject.Check(ctx, faultinject.SiteShardMerge, uint64(cursor)); err != nil {
-				return nil, err
-			}
-			sc := results[cursor]
-			st.WordLookups += sc.st.WordLookups
-			st.WordHits += sc.st.WordHits
-			for _, sh := range sc.hits {
-				i, j := int(sh.i), int(sh.j)
-				if !ds.step(i, j) {
-					continue
-				}
-				st.Extensions++
-				r, found := sc.ext[extKey{i: sh.i, j: sh.j}]
-				if !found {
-					r.h, r.ok = extend(q, s, i, j, o.XDrop)
-				}
-				if r.ok && r.h.Score >= o.MinScore {
-					h := r.h
-					h.Frame = tf.Frame
-					h.NucPos = tf.NucStart(h.SStart)
-					all = append(all, h)
-					ds.accept(j-i, h.SEnd)
-				}
-			}
+	for fi := range outs {
+		out := &outs[fi]
+		if out.err != nil {
+			return nil, nil, out.err
 		}
+		if err := faultinject.Check(ctx, faultinject.SiteShardMerge, uint64(fi)); err != nil {
+			return nil, nil, err
+		}
+		frames[fi] = out.frame
+		all = append(all, out.hsps...)
+		st.WordLookups += out.st.WordLookups
+		st.WordHits += out.st.WordHits
+		st.Extensions += out.st.Extensions
 	}
-	return all, nil
+	return frames, all, nil
 }
 
-// speculateShard scans subject word starts [lo, hi) of one frame,
-// recording every word hit in visit order and precomputing the X-drop
-// extension for each seed its boundary-warmed local state machine
-// predicts will trigger. The two-hit warm-up replays [lo-HitWindow, lo)
-// so pairs straddling the shard boundary trigger here as they do
-// serially; cross-boundary HSP suppression stays approximate, and the
-// replay merge corrects any misprediction either way.
-func speculateShard(idx *Index, tf *TranslatedFrame, lo, hi int, o *Options) *shardScan {
-	sc := &shardScan{ext: map[extKey]extResult{}}
+// scanFrame seeds and extends one translated frame, checking ctx every
+// ctxCheckStride subject positions.
+func scanFrame(ctx context.Context, idx *Index, tf *TranslatedFrame, o *Options) ([]HSP, Stats, error) {
+	var hsps []HSP
+	var st Stats
 	q, s := idx.Query, tf.Prot
-	ds := newDiagState(o)
-	if o.TwoHit {
-		warm := lo - o.HitWindow
-		if warm < 0 {
-			warm = 0
-		}
-		for j := warm; j < lo; j++ {
-			for _, qi := range idx.Lookup(s[j], s[j+1], s[j+2]) {
-				ds.step(int(qi), j)
+	ring := newDiagRing(len(q), o)
+	for j := 0; j+WordSize <= len(s); j++ {
+		if j%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, Stats{}, err
 			}
 		}
-	}
-	for j := lo; j < hi; j++ {
-		sc.st.WordLookups++
+		st.WordLookups++
 		for _, qi := range idx.Lookup(s[j], s[j+1], s[j+2]) {
-			sc.st.WordHits++
+			st.WordHits++
 			i := int(qi)
-			sc.hits = append(sc.hits, seedHit{j: int32(j), i: int32(i)})
-			if !ds.step(i, j) {
+			if !ring.step(i, j) {
 				continue
 			}
-			var r extResult
-			r.h, r.ok = extend(q, s, i, j, o.XDrop)
-			sc.ext[extKey{i: int32(i), j: int32(j)}] = r
-			if r.ok && r.h.Score >= o.MinScore {
-				ds.accept(j-i, r.h.SEnd)
+			st.Extensions++
+			h, ok := extend(q, s, i, j, o.XDrop)
+			if ok && h.Score >= o.MinScore {
+				h.Frame = tf.Frame
+				h.NucPos = tf.NucStart(h.SStart)
+				hsps = append(hsps, h)
+				ring.accept(j-i, h.SEnd)
 			}
 		}
 	}
-	return sc
+	return hsps, st, nil
 }
 
 // cullContained removes HSPs whose query and subject ranges both lie
@@ -582,8 +458,7 @@ func cullContained(hsps []HSP) []HSP {
 }
 
 // extend performs ungapped X-drop extension around the seed word at query
-// position i / subject position j. It is a pure function of (q, s, i, j,
-// xdrop) — the speculation in scanSharded depends on this.
+// position i / subject position j.
 func extend(q, s bio.ProtSeq, i, j, xdrop int) (HSP, bool) {
 	// Seed score.
 	score := 0

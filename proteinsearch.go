@@ -30,7 +30,8 @@ const (
 // value selects BLAST-flavoured defaults (all six frames, one-hit
 // seeding, MinScore 35).
 type ProteinSearchOptions struct {
-	// Threads is the scan worker count (0 = 1). The HSP set, order, and
+	// Threads is the scan worker count (0 = 1). Each translated frame
+	// is one job, so at most Frames workers run. The HSP set, order, and
 	// stats are invariant under Threads, so it is excluded from the
 	// result-cache key.
 	Threads int
