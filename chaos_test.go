@@ -368,29 +368,115 @@ func TestPartialResultsStreamCoverage(t *testing.T) {
 
 // TestChaosNonPartialShardFailureFailsScan: without WithPartialResults an
 // unrecoverable (sticky, budget-exhausting) shard failure fails the whole
-// scan with the shard range named — no silent hit loss.
+// scan with the shard range named — no silent hit loss — on every
+// nucleotide entry point. Rows that shard at the default length scan a
+// reference long enough for several shards, so the sticky selection
+// (keys 2, 3, 7, … at seed 55) reaches them. A last row arms the merge
+// hook instead: a one-shard scan must pass it and fail the same way.
 func TestChaosNonPartialShardFailureFailsScan(t *testing.T) {
 	ref, genes := SyntheticReference(31, 80_000, 4, 25)
 	q, err := NewQuery(genes[0].Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultinject.Enable(55, faultinject.Plan{
+	big, _ := SyntheticReference(32, 1_100_000, 1, 25)
+	bigText := big.String()
+	bigDB, err := DatabaseFromReference("chaos-big", big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(bigDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 20 kb reference at the default shard length is one shard; without
+	// faults the aligner finds its gene there.
+	small, smallGenes := SyntheticReference(7, 20_000, 1, 30)
+	sq, err := NewQuery(smallGenes[0].Protein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := mustConformAligner(t, sq)
+	if hits := single.Align(small); len(hits) == 0 {
+		t.Fatal("single-shard oracle found no hits; the merge-hook row is vacuous")
+	}
+	mergeFaults := faultinject.Plan{faultinject.SiteShardMerge: {Every: 1, Fail: true}}
+
+	sticky := faultinject.Plan{
 		faultinject.SiteShardDispatch: {Prob: 0.3, Sticky: true, Fail: true},
-	})
+	}
+	faultinject.Enable(55, sticky)
 	defer faultinject.Disable()
 
 	a := mustConformAligner(t, q, WithThresholdFraction(0.7), WithShardLen(2048),
 		WithRetryPolicy(RetryPolicy{MaxRetries: 1, Base: 10 * time.Microsecond}))
-	hits, err := a.AlignContext(context.Background(), ref)
-	if err == nil || !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("sticky faults without partial mode: err = %v, want the injected failure", err)
+	ctx := context.Background()
+	queries := []*Query{q, q}
+	// Each row returns how many results a collecting call handed back
+	// (it must be none) and the scan's error.
+	rows := []struct {
+		name string
+		plan faultinject.Plan // nil: the sticky dispatch plan above
+		scan func() (int, error)
+	}{
+		{"AlignContext", nil, func() (int, error) {
+			hits, err := a.AlignContext(ctx, ref)
+			if hits != nil {
+				return len(hits), err
+			}
+			return 0, err
+		}},
+		{"AlignDatabaseContext", nil, func() (int, error) {
+			hits, err := a.AlignDatabaseContext(ctx, bigDB)
+			return len(hits), err
+		}},
+		{"AlignDatabaseStreamContext", nil, func() (int, error) {
+			return 0, a.AlignDatabaseStreamContext(ctx, bigDB, func(RecordHit) error { return nil })
+		}},
+		{"AlignBatchContext", nil, func() (int, error) {
+			hits, err := AlignBatchContext(ctx, queries, big, 0.7)
+			return len(hits), err
+		}},
+		{"AlignDatabaseBatchContext", nil, func() (int, error) {
+			hits, err := AlignDatabaseBatchContext(ctx, bigDB, queries, 0.7)
+			return len(hits), err
+		}},
+		{"AlignStreamContext", nil, func() (int, error) {
+			return 0, a.AlignStreamContext(ctx, strings.NewReader(bigText), func(Hit) error { return nil })
+		}},
+		{"AlignBatchStreamContext", nil, func() (int, error) {
+			return 0, AlignBatchStreamContext(ctx, queries, strings.NewReader(bigText), 0.7,
+				func(int, Hit) error { return nil })
+		}},
+		{"Session.RunContext", nil, func() (int, error) {
+			hits, _, err := sess.RunContext(ctx, q, 0.7)
+			return len(hits), err
+		}},
+		// A scan of one shard passes the merge hook like every other.
+		{"AlignContext single shard, merge hook", mergeFaults, func() (int, error) {
+			hits, err := single.AlignContext(ctx, small)
+			if hits != nil {
+				return len(hits), err
+			}
+			return 0, err
+		}},
 	}
-	if !strings.Contains(err.Error(), "shard [") {
-		t.Fatalf("failure %q does not name the shard range", err)
-	}
-	if hits != nil {
-		t.Fatalf("failed scan returned %d hits; must return none", len(hits))
+	for _, row := range rows {
+		if row.plan != nil {
+			faultinject.Enable(55, row.plan)
+		}
+		n, err := row.scan()
+		faultinject.Enable(55, sticky)
+		if err == nil || !errors.Is(err, faultinject.ErrInjected) {
+			t.Errorf("%s: sticky faults without partial mode: err = %v, want the injected failure", row.name, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "shard [") {
+			t.Errorf("%s: failure %q does not name the shard range", row.name, err)
+		}
+		if n != 0 {
+			t.Errorf("%s: failed scan returned %d results; must return none", row.name, n)
+		}
 	}
 }
 

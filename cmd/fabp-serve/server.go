@@ -780,11 +780,12 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 		// Client went away; nobody is reading the response.
 		s.m.clientGone.Inc()
 		return
+	case errors.Is(err, fabp.ErrBadQuery), errors.Is(err, fabp.ErrBadOption):
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	default:
-		// The batch API validates the threshold fraction and query shapes
-		// together, so what surfaces here is the client's to fix.
 		s.m.failed.Inc()
-		writeError(w, http.StatusBadRequest, "batch scan failed: %v", err)
+		writeError(w, http.StatusInternalServerError, "batch scan failed: %v", err)
 		return
 	}
 

@@ -698,6 +698,16 @@ func TestPartialDegradedServeResponse(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("non-partial sticky faults: status %d (%s), want 500", resp.StatusCode, body)
 	}
+	// So is a batch over the same shard: the fault is the server's, not
+	// the client's, and counts on serve.failed.
+	failed := s.m.failed.Load()
+	resp, body = postBatch(t, ts.URL, batchAlignRequest{Queries: []string{protein}})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("batch under sticky faults: status %d (%s), want 500", resp.StatusCode, body)
+	}
+	if s.m.failed.Load() != failed+1 {
+		t.Errorf("serve.failed %d -> %d, want one batch failure", failed, s.m.failed.Load())
+	}
 
 	// Negative budgets are a client error.
 	bad := -1

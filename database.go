@@ -2,7 +2,6 @@ package fabp
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log"
 	"strconv"
@@ -15,7 +14,6 @@ import (
 	"fabp/internal/core"
 	"fabp/internal/db"
 	"fabp/internal/experiments"
-	"fabp/internal/faultinject"
 	"fabp/internal/host"
 	"fabp/internal/isa"
 	"fabp/internal/sched"
@@ -266,14 +264,14 @@ func planesForReference(ref *Reference) *bitpar.Planes {
 	})
 }
 
-// targetScan builds this aligner's shard-scan function over one target of
-// n nucleotides — the closure scans window starts [lo, hi), and every
-// shard reads one shared representation, so each gets its shardLen + Lq−1
-// overlap for free. The default is the fused kernel at K=1 over the
-// target's packed planes; KernelScalar, the oracle selection, scores with
-// the scalar engine over one context array built from seq instead.
+// targetScan builds this aligner's K=1 shard scan over one target of n
+// nucleotides — every shard reads one shared representation, so each
+// gets its shardLen + Lq−1 overlap for free. The default is the fused
+// kernel over the target's packed planes; KernelScalar, the oracle
+// selection, scores with the scalar engine over one context array built
+// from seq instead.
 // starts is 0 when the target is shorter than the query.
-func (a *Aligner) targetScan(n int, planes func() *bitpar.Planes, seq func() bio.NucSeq) (scan func(lo, hi int) []core.Hit, starts int) {
+func (a *Aligner) targetScan(n int, planes func() *bitpar.Planes, seq func() bio.NucSeq) (scan shardScan, starts int) {
 	starts = n - a.query.Elements() + 1
 	if starts <= 0 {
 		return nil, 0
@@ -281,79 +279,49 @@ func (a *Aligner) targetScan(n int, planes func() *bitpar.Planes, seq func() bio
 	if a.mode == KernelScalar {
 		a.tm.kernelScalar.Inc()
 		ctxs := core.Contexts(seq())
-		return func(lo, hi int) []core.Hit {
-			return a.engine.AlignContexts(ctxs, lo, hi)
+		return func(lo, hi int, _ [][]core.Hit) [][]core.Hit {
+			return [][]core.Hit{a.engine.AlignContexts(ctxs, lo, hi)}
 		}, starts
 	}
 	a.tm.kernelBitpar.Inc()
 	a.tm.planeLookups.Inc()
 	pp := planes()
-	return func(lo, hi int) []core.Hit {
-		return a.bk.AlignPlanesRange(pp, lo, hi, nil)[0]
+	return func(lo, hi int, dst [][]core.Hit) [][]core.Hit {
+		return a.bk.AlignPlanesRange(pp, lo, hi, dst)
 	}, starts
 }
 
 // databaseScan is targetScan over a database's cached planes.
-func (a *Aligner) databaseScan(d *Database) (scan func(lo, hi int) []core.Hit, starts int) {
+func (a *Aligner) databaseScan(d *Database) (scan shardScan, starts int) {
 	return a.targetScan(d.Len(), d.planes, d.d.Seq)
 }
 
 // referenceScan is targetScan over a standalone reference's cached planes.
-func (a *Aligner) referenceScan(ref *Reference) (scan func(lo, hi int) []core.Hit, starts int) {
+func (a *Aligner) referenceScan(ref *Reference) (scan shardScan, starts int) {
 	return a.targetScan(ref.Len(),
 		func() *bitpar.Planes { return planesForReference(ref) },
 		func() bio.NucSeq { return ref.seq })
 }
 
-// instrumentShard wraps a shard-scan function so each execution records
-// latency and the shards-run counter on tm.
-func instrumentShard(tm *alignerMetrics, scan func(lo, hi int) []core.Hit) func(lo, hi int) []core.Hit {
-	return func(lo, hi int) []core.Hit {
-		t0 := time.Now()
-		hits := scan(lo, hi)
-		observeSince(tm.shardLatency, t0)
-		tm.shardsRun.Inc()
-		return hits
-	}
-}
-
-// runScan executes a built shard scan (nil for a target shorter than the
-// query) and sorts its outcome: hits plus a *PartialError on degraded
-// completion, or a failure — recorded on the cancel/deadline counters —
-// as err.
-func (a *Aligner) runScan(ctx context.Context, scan func(lo, hi int) []core.Hit, starts int) (raw []core.Hit, perr, err error) {
+// runScan gathers a built shard scan (nil for a target shorter than the
+// query) over the aligner's shard plan and sorts its outcome: hits plus a
+// *PartialError on degraded completion, or a failure — recorded on the
+// cancel/deadline counters — as err. Cancellation is checked between
+// shards: a canceled or deadlined scan returns ctx.Err() after at most
+// the shards already executing finish.
+func (a *Aligner) runScan(ctx context.Context, scan shardScan, starts int) (raw []core.Hit, perr, err error) {
 	if scan == nil {
 		return nil, nil, nil
 	}
-	raw, err = a.scanShardsCtx(ctx, starts, scan)
+	hits, err := a.newShardRun(scan).run(ctx, sched.Plan(starts, a.shardLen))
 	if _, ok := asPartial(err); ok {
-		return raw, err, nil
+		return hits[0], err, nil
 	}
 	if err != nil {
 		a.tm.recordCtxErr(err)
 		return nil, nil, err
 	}
-	return raw, nil, nil
-}
-
-// scanShardsCtx executes a scan function over the shard plan on the
-// aligner's pool and returns the concatenated, position-ordered hits.
-// Cancellation is checked between shards (see sched.GatherCtx): on a
-// canceled or deadlined context the call returns ctx.Err() after at most
-// the shards already executing finish. With a RetryPolicy, partial mode
-// or active fault injection, shards route through the resilient path
-// (retries, hedging, the dispatch fault hook, *PartialError); otherwise
-// the historical zero-overhead gather runs unchanged.
-func (a *Aligner) scanShardsCtx(ctx context.Context, starts int, scan func(lo, hi int) []core.Hit) ([]core.Hit, error) {
-	shards := sched.Plan(starts, a.shardLen)
-	a.tm.shardsPlanned.Add(uint64(len(shards)))
-	scan = instrumentShard(&a.tm, scan)
-	if a.resilientScans() {
-		return a.gatherResilient(ctx, shards, scan)
-	}
-	return sched.GatherCtx(ctx, a.pool, len(shards), func(i int) []core.Hit {
-		return scan(shards[i].Lo, shards[i].Hi)
-	})
+	return hits[0], nil, nil
 }
 
 // AlignDatabase scans the whole database and attributes hits to records,
@@ -437,39 +405,29 @@ func (a *Aligner) AlignDatabaseStreamContext(ctx context.Context, d *Database, e
 	if scan == nil {
 		return nil
 	}
-	shards := sched.Plan(starts, a.shardLen)
-	a.tm.shardsPlanned.Add(uint64(len(shards)))
-	scan = instrumentShard(&a.tm, scan)
+	run := a.newShardRun(scan)
 	m := a.query.Elements()
-	produce := func(i int) ([]db.RecordHit, error) {
-		return d.d.Attribute(scan(shards[i].Lo, shards[i].Hi), m), nil
-	}
-	var fc *failureCollector
-	if a.resilientScans() {
-		fc = &failureCollector{}
-		produce = resilientStreamProduce(ctx, a.pool, newResilience(a.retryPolicy, &a.tm), a.partial, fc, shards, produce)
-	}
-	err := sched.StreamOrderedCtx(ctx, a.pool, len(shards), produce,
-		func(h db.RecordHit) error {
+	run.emit = func(part [][]core.Hit) error {
+		for _, h := range d.d.Attribute(part[0], m) {
 			a.tm.hits.Inc()
-			return emit(RecordHit{
+			if err := emit(RecordHit{
 				RecordID:    h.RecordID,
 				RecordIndex: h.RecordIndex,
 				Offset:      h.Offset,
 				Score:       h.Score,
-			})
-		})
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// A *PartialError means every surviving shard's hits were emitted in
+	// order; it reports the uncovered ranges the way the gather path does.
+	_, err := run.run(ctx, sched.Plan(starts, a.shardLen))
 	if err != nil {
 		a.tm.recordCtxErr(err)
-		return err
 	}
-	if fc != nil && len(fc.failed) > 0 {
-		// Every surviving shard's hits were emitted in order; report the
-		// uncovered ranges the same way the gather path does.
-		a.tm.partial.Inc()
-		return fc.partialError()
-	}
-	return nil
+	return err
 }
 
 func toRecordHits(attributed []db.RecordHit) []RecordHit {
@@ -543,7 +501,7 @@ func (s *Session) Run(q *Query, thresholdFrac float64) ([]RecordHit, QueryTiming
 func (s *Session) RunContext(ctx context.Context, q *Query, thresholdFrac float64) ([]RecordHit, QueryTiming, error) {
 	threshold, err := core.ThresholdFromFraction(thresholdFrac, q.MaxScore())
 	if err != nil {
-		return nil, QueryTiming{}, err
+		return nil, QueryTiming{}, badOption(err)
 	}
 	res, err := s.s.RunQueryContext(ctx, isaProgram(q), threshold)
 	if err != nil {
@@ -572,7 +530,7 @@ func (s *Session) RunBatch(queries []*Query, thresholdFrac float64) ([][]RecordH
 // cancellation between shards for the whole batch at once, so an aborted
 // batch returns ctx.Err() without scanning the remaining shards.
 func (s *Session) RunBatchContext(ctx context.Context, queries []*Query, thresholdFrac float64) ([][]RecordHit, float64, error) {
-	progs, err := batchPrograms(queries)
+	progs, _, err := batchKernelInputs(queries, thresholdFrac)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -610,7 +568,7 @@ func batchPrograms(queries []*Query) ([]isa.Program, error) {
 		progs[i] = q.program
 	}
 	if len(bad) > 0 {
-		return nil, fmt.Errorf("fabp: invalid batch queries at index %s (nil or empty)",
+		return nil, badQueryf("fabp: invalid batch queries at index %s (nil or empty)",
 			strings.Join(bad, ", "))
 	}
 	return progs, nil
@@ -628,7 +586,7 @@ func batchKernelInputs(queries []*Query, thresholdFrac float64) ([]isa.Program, 
 	for i, q := range queries {
 		t, err := core.ThresholdFromFraction(thresholdFrac, q.MaxScore())
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, badOption(err)
 		}
 		thresholds[i] = t
 	}
@@ -639,47 +597,37 @@ func batchKernelInputs(queries []*Query, thresholdFrac float64) ([]isa.Program, 
 // compile into one bitpar.BatchKernel, the union of valid window starts is
 // tiled into shards, and each shard's reference plane words are fetched
 // ONCE for the whole batch — one pass per tile instead of K. Shards run
-// on the shared pool with per-query hit streams merged in position order
-// (sched.GatherBatchCtx); cancellation sheds undispatched shards for every
-// query at once. shardLen 0 takes the scheduler's default; tests pass
-// small values to force carry-straddling shard boundaries.
+// on the shared pool under the batch retry policy, with per-query hit
+// streams gathered in position order; cancellation sheds undispatched
+// shards for every query at once, and a shard that still fails fails the
+// batch (every query's results depend on every shard). shardLen 0 takes
+// the scheduler's default; tests pass small values to force
+// carry-straddling shard boundaries.
 func alignBatchFused(ctx context.Context, progs []isa.Program, thresholds []int, planes *bitpar.Planes, shardLen int) ([][]core.Hit, error) {
 	bk, err := bitpar.NewBatchKernel(progs, thresholds)
 	if err != nil {
 		return nil, err
 	}
 	tm := &defaultAlignerTM
-	k := uint64(bk.NumQueries())
-	tm.queries.Add(k)
-	tm.batchQueries.Add(k)
-	tm.kernelBitpar.Add(k)
+	k := bk.NumQueries()
+	tm.queries.Add(uint64(k))
+	tm.batchQueries.Add(uint64(k))
+	tm.kernelBitpar.Add(uint64(k))
 	starts := bk.Starts(planes.Len())
 	if starts <= 0 {
-		return make([][]core.Hit, len(progs)), ctx.Err()
+		return make([][]core.Hit, k), ctx.Err()
 	}
 	shards := sched.Plan(starts, shardLen)
-	tm.shardsPlanned.Add(uint64(len(shards)))
-	scanShard := func(i int) [][]core.Hit {
-		ts := time.Now()
-		dst := bk.AlignPlanesRange(planes, shards[i].Lo, shards[i].Hi, nil)
-		observeSince(tm.shardLatency, ts)
-		tm.shardsRun.Inc()
-		return dst
-	}
 	t0 := time.Now()
-	var perQuery [][]core.Hit
-	if rp := currentBatchRetryPolicy(); rp.enabled() || faultinject.Enabled() {
-		perQuery, err = gatherBatchResilient(ctx, sched.Shared(), rp, tm, shards, len(progs), scanShard)
-	} else {
-		perQuery, err = sched.GatherBatchCtx(ctx, sched.Shared(), len(shards), len(progs), scanShard)
-	}
+	perQuery, err := newShardRun(sched.Shared(), currentBatchRetryPolicy(), false, tm, k,
+		func(lo, hi int, dst [][]core.Hit) [][]core.Hit {
+			return bk.AlignPlanesRange(planes, lo, hi, dst)
+		}).run(ctx, shards)
 	if err != nil {
 		tm.recordCtxErr(err)
 		return nil, err
 	}
-	observeSince(tm.batchKernelLatency, t0)
-	tm.batchFusedPasses.Add(uint64(len(shards)))
-	tm.batchPlaneBytesSaved.Add(uint64(len(progs)-1) * uint64(planes.SizeBytes()))
+	recordFused(tm, k, len(shards), planes.SizeBytes(), t0)
 	for _, hits := range perQuery {
 		tm.hits.Add(uint64(len(hits)))
 	}
@@ -715,7 +663,7 @@ func AlignBatch(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hi
 // abort, so a retry scans the same resident planes.
 func AlignBatchContext(ctx context.Context, queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
 	if len(queries) == 0 {
-		return nil, fmt.Errorf("fabp: empty batch")
+		return nil, badQueryf("fabp: empty batch")
 	}
 	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
 	if err != nil {
@@ -742,7 +690,7 @@ func AlignDatabaseBatch(d *Database, queries []*Query, thresholdFrac float64) ([
 // at once) and returns ctx.Err() without scanning the remaining shards.
 func AlignDatabaseBatchContext(ctx context.Context, d *Database, queries []*Query, thresholdFrac float64) ([][]RecordHit, error) {
 	if len(queries) == 0 {
-		return nil, fmt.Errorf("fabp: empty batch")
+		return nil, badQueryf("fabp: empty batch")
 	}
 	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
 	if err != nil {

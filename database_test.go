@@ -2,6 +2,8 @@ package fabp
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -173,6 +175,62 @@ func TestAlignBatchFacade(t *testing.T) {
 	}
 	if _, err := AlignBatch(nil, ref, 0.9); err == nil {
 		t.Error("empty batch must fail")
+	}
+}
+
+// TestBatchErrorsTagged: every batch entry point's validation errors
+// match the facade taxonomy — nil, empty or missing queries are
+// ErrBadQuery, a bad threshold fraction is ErrBadOption — with their
+// messages unchanged.
+func TestBatchErrorsTagged(t *testing.T) {
+	ref, genes := SyntheticReference(5, 4_000, 1, 20)
+	dbase, err := DatabaseFromReference("tagged", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQuery(genes[0].Protein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(dbase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func(queries []*Query, frac float64) error{
+		"AlignBatch": func(qs []*Query, f float64) error { _, err := AlignBatch(qs, ref, f); return err },
+		"AlignDatabaseBatch": func(qs []*Query, f float64) error {
+			_, err := AlignDatabaseBatch(dbase, qs, f)
+			return err
+		},
+		"AlignBatchStream": func(qs []*Query, f float64) error {
+			return AlignBatchStream(qs, strings.NewReader(ref.String()), f, func(int, Hit) error { return nil })
+		},
+		"Session.RunBatch": func(qs []*Query, f float64) error { _, _, err := sess.RunBatch(qs, f); return err },
+	}
+	cases := []struct {
+		name    string
+		queries []*Query
+		frac    float64
+		want    error
+		msg     string
+	}{
+		{"empty batch", nil, 0.8, ErrBadQuery, "fabp: empty batch"},
+		{"nil query", []*Query{q, nil}, 0.8, ErrBadQuery, "invalid batch queries at index 1"},
+		{"bad fraction", []*Query{q}, 1.5, ErrBadOption, "1.5"},
+	}
+	for name, run := range entries {
+		for _, tc := range cases {
+			if name == "Session.RunBatch" && tc.queries == nil {
+				continue // an empty session batch is a valid no-op
+			}
+			err := run(tc.queries, tc.frac)
+			if !errors.Is(err, tc.want) || !strings.Contains(fmt.Sprint(err), tc.msg) {
+				t.Errorf("%s %s: err = %v, want %v naming %q", name, tc.name, err, tc.want, tc.msg)
+			}
+		}
+	}
+	if _, _, err := sess.Run(q, 1.5); !errors.Is(err, ErrBadOption) {
+		t.Errorf("Session.Run bad fraction: err = %v, want ErrBadOption", err)
 	}
 }
 

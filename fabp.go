@@ -547,26 +547,8 @@ func (a *Aligner) AlignStreamContext(ctx context.Context, r io.Reader, emit func
 	t0 := time.Now()
 	defer func() { observeSince(a.tm.alignLatency, t0) }()
 	a.tm.kernelBitpar.Inc()
-	m := a.query.Elements()
-	var scratch [][]core.Hit
-	err := scanChunks(ctx, r, m, m, &a.tm, a.retryPolicy, func(pp *bitpar.Planes, lo, hi, base int) error {
-		perQuery, err := batchChunkHits(ctx, a.bk, a.pool, a.retryPolicy, &a.tm, pp, lo, hi, scratch)
-		if err != nil {
-			return err
-		}
-		scratch = perQuery
-		for _, h := range perQuery[0] {
-			a.tm.hits.Inc()
-			if err := emit(Hit{Pos: base + h.Pos, Score: h.Score}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		a.tm.recordCtxErr(err)
-	}
-	return err
+	return scanStream(ctx, r, a.bk, a.pool, a.retryPolicy, &a.tm,
+		func(_ int, h Hit) error { return emit(h) })
 }
 
 // EValueOf returns the expected number of random windows reaching score in
@@ -602,22 +584,27 @@ func (a *Aligner) Best(ref *Reference) (Hit, bool) {
 	if scan == nil {
 		return Hit{}, false
 	}
-	bests, err := z.scanShardsCtx(context.Background(), starts, func(lo, hi int) []core.Hit {
+	bests, err := z.newShardRun(func(lo, hi int, _ [][]core.Hit) [][]core.Hit {
 		best := core.Hit{Score: -1}
+		var piece [][]core.Hit
 		for p := lo; p < hi; p += bestPiece {
-			for _, h := range scan(p, min(p+bestPiece, hi)) {
+			for qi := range piece {
+				piece[qi] = piece[qi][:0]
+			}
+			piece = scan(p, min(p+bestPiece, hi), piece)
+			for _, h := range piece[0] {
 				if h.Score > best.Score {
 					best = h
 				}
 			}
 		}
-		return []core.Hit{best}
-	})
-	if err != nil || len(bests) == 0 {
+		return [][]core.Hit{{best}}
+	}).run(context.Background(), sched.Plan(starts, z.shardLen))
+	if err != nil || len(bests[0]) == 0 {
 		return Hit{}, false
 	}
-	best := bests[0]
-	for _, h := range bests[1:] {
+	best := bests[0][0]
+	for _, h := range bests[0][1:] {
 		if h.Score > best.Score {
 			best = h
 		}

@@ -81,9 +81,13 @@ type BatchKernel struct {
 	minElems int
 	// ctrWords is the flat counter scratch size: sum of every query's ctrW.
 	ctrWords int
-	// scratch pools per-worker state (staged block, vertical counters, hit
-	// staging buffers) so concurrent shard scans allocate nothing per tile.
-	scratch sync.Pool
+	// free holds idle per-worker scan state (staged block, vertical
+	// counters, hit staging buffers) so concurrent shard scans allocate
+	// nothing per tile. Unlike a sync.Pool it never drops an entry — not
+	// at GC, not under the race detector — so the kernel holds at most one
+	// scratch per peak concurrent scan and a steady stream reuses them.
+	mu   sync.Mutex
+	free []*batchScratch
 }
 
 // batchScratch is one worker's reusable scan state. w0s/w1s hold the
@@ -134,16 +138,34 @@ func NewBatchKernel(progs []isa.Program, thresholds []int) (*BatchKernel, error)
 		}
 	}
 	bk.ctrWords = off
-	bk.scratch.New = func() any {
-		return &batchScratch{
-			w0s:      make([]uint64, bk.maxElems+2),
-			w1s:      make([]uint64, bk.maxElems+2),
-			counters: make([]uint64, bk.ctrWords),
-			sticky:   make([]uint64, len(bk.queries)),
-			hits:     make([][]Hit, len(bk.queries)),
-		}
-	}
 	return bk, nil
+}
+
+// getScratch takes an idle scratch, or builds one when every scratch is
+// in use.
+func (bk *BatchKernel) getScratch() *batchScratch {
+	bk.mu.Lock()
+	if n := len(bk.free); n > 0 {
+		s := bk.free[n-1]
+		bk.free = bk.free[:n-1]
+		bk.mu.Unlock()
+		return s
+	}
+	bk.mu.Unlock()
+	return &batchScratch{
+		w0s:      make([]uint64, bk.maxElems+2),
+		w1s:      make([]uint64, bk.maxElems+2),
+		counters: make([]uint64, bk.ctrWords),
+		sticky:   make([]uint64, len(bk.queries)),
+		hits:     make([][]Hit, len(bk.queries)),
+	}
+}
+
+// putScratch returns a scratch to the free list.
+func (bk *BatchKernel) putScratch(s *batchScratch) {
+	bk.mu.Lock()
+	bk.free = append(bk.free, s)
+	bk.mu.Unlock()
 }
 
 // NumQueries returns the batch width K.
@@ -197,7 +219,7 @@ func (bk *BatchKernel) AlignPlanesRange(pp *Planes, lo, hi int, dst [][]Hit) [][
 	if lo >= hi {
 		return dst
 	}
-	s := bk.scratch.Get().(*batchScratch)
+	s := bk.getScratch()
 	// Blocks are 64-position aligned: scan from the aligned start and mask
 	// the lanes below lo.
 	for p0 := lo &^ 63; p0 < hi; p0 += 64 {
@@ -210,7 +232,7 @@ func (bk *BatchKernel) AlignPlanesRange(pp *Planes, lo, hi int, dst [][]Hit) [][
 			s.hits[qi] = s.hits[qi][:0]
 		}
 	}
-	bk.scratch.Put(s)
+	bk.putScratch(s)
 	return dst
 }
 

@@ -180,18 +180,40 @@ func (b *PlaneBuilder) Planes() *Planes {
 	return &b.pub
 }
 
-// planeBuilderPool recycles builders across streams so a steady serving
+// idleBuilders recycles builders across streams so a steady serving
 // workload allocates plane memory only while a new high-water chunk size
-// is being established.
-var planeBuilderPool = sync.Pool{New: func() any { return NewPlaneBuilder() }}
+// is being established. Unlike a sync.Pool it never drops a builder — not
+// at GC, not under the race detector — so a warm builder stays warm; it
+// keeps at most maxIdleBuilders, so a burst of concurrent streams does not
+// pin its plane memory for good.
+var idleBuilders struct {
+	sync.Mutex
+	free []*PlaneBuilder
+}
+
+// maxIdleBuilders bounds the builders kept for reuse.
+const maxIdleBuilders = 8
 
 // GetPlaneBuilder returns an empty pooled builder; pair with Release.
 func GetPlaneBuilder() *PlaneBuilder {
-	b := planeBuilderPool.Get().(*PlaneBuilder)
-	b.Reset()
-	return b
+	idleBuilders.Lock()
+	if n := len(idleBuilders.free); n > 0 {
+		b := idleBuilders.free[n-1]
+		idleBuilders.free = idleBuilders.free[:n-1]
+		idleBuilders.Unlock()
+		b.Reset()
+		return b
+	}
+	idleBuilders.Unlock()
+	return NewPlaneBuilder()
 }
 
 // Release returns the builder (and its capacity) to the pool. The caller
 // must not touch the builder or any Planes view of it afterwards.
-func (b *PlaneBuilder) Release() { planeBuilderPool.Put(b) }
+func (b *PlaneBuilder) Release() {
+	idleBuilders.Lock()
+	if len(idleBuilders.free) < maxIdleBuilders {
+		idleBuilders.free = append(idleBuilders.free, b)
+	}
+	idleBuilders.Unlock()
+}

@@ -38,12 +38,12 @@ import (
 // The named hook sites wired into the pipeline. A plan may name any
 // string, but these are the sites that exist today.
 const (
-	// SiteShardDispatch fires at the start of every resilient shard
-	// attempt (internal/sched.ProduceResilient): the per-shard latency
-	// stall and shard-failure injection point.
+	// SiteShardDispatch fires at the start of every shard attempt of the
+	// shard executor (internal/sched.Run): the per-shard latency stall and
+	// shard-failure injection point.
 	SiteShardDispatch = "sched.shard.dispatch"
-	// SiteShardMerge fires as each shard's results enter the ordered
-	// merge (sched.GatherCtx / sched.StreamOrderedCtx).
+	// SiteShardMerge fires as each shard's results reach sched.Run's
+	// ordered sink (and as each frame's results merge in internal/tblastn).
 	SiteShardMerge = "sched.shard.merge"
 	// SiteStreamRead fires before every chunk read of the bounded-memory
 	// stream scan (scanChunks): the reference-reader I/O error point.

@@ -1,9 +1,9 @@
-// resilient.go is the scheduler's resilience layer: per-shard retry with
-// bounded exponential backoff, hedged re-execution of straggler shards
-// (budgeted duplicates, first result wins, the loser canceled through the
-// context plumbing), and the sched.shard.dispatch fault-injection hook.
-// The plain Gather/Stream paths are untouched — callers opt shards into
-// this path per scan, so the production fast path pays nothing.
+// resilient.go is the scheduler's resilience layer, which every shard Run
+// executes passes through: per-shard retry with bounded exponential
+// backoff, hedged re-execution of straggler shards (budgeted duplicates,
+// first result wins, the loser canceled through the context plumbing),
+// and the sched.shard.dispatch fault-injection hook. A nil or zero policy
+// is one attempt per shard.
 package sched
 
 import (
@@ -49,14 +49,14 @@ func (r *Resilience) takeHedge() bool {
 	return r.budget.Add(-1) >= 0
 }
 
-// ProduceResilient runs one shard's produce under the call's resilience
-// policy, from inside a pool task (Gather/Stream produce functions call
-// it directly). The shard's lifecycle:
+// runShard runs shard i's produce under r, from the shard's pool task
+// (or inline for a single-shard Run). The shard's lifecycle:
 //
-//  1. The sched.shard.dispatch fault hook fires first on every attempt —
+//  1. Every attempt opens with the sched.shard.dispatch fault hook —
 //     injected stalls model stragglers, injected errors model shard
 //     failures — keyed by the shard index, so seeded plans hit
-//     deterministic shards.
+//     deterministic shards; then a context check, so an attempt that
+//     starts after a cancel skips its scan.
 //  2. If the attempt outlives r.HedgeAfter and budget remains, a hedged
 //     duplicate is launched on the pool; the first success wins and the
 //     loser's context is canceled. A duplicate waiting for a pool slot
@@ -66,34 +66,43 @@ func (r *Resilience) takeHedge() bool {
 //     deterministic jittered schedule and re-runs, at most Backoff.Max
 //     times; context errors and non-retryable failures surface
 //     immediately.
-func ProduceResilient[T any](ctx context.Context, p *Pool, r *Resilience, key uint64, produce func(ctx context.Context) ([]T, error)) ([]T, error) {
-	attempt := func(actx context.Context) ([]T, error) {
-		if err := faultinject.Check(actx, faultinject.SiteShardDispatch, key); err != nil {
-			return nil, err
-		}
-		return produce(actx)
-	}
+//
+// A nil r runs exactly one attempt.
+func runShard[T any](ctx context.Context, p *Pool, r *Resilience, i int, produce func(context.Context, int) (T, error)) (T, error) {
 	if r == nil {
-		return attempt(ctx)
+		return attempt(ctx, i, produce)
 	}
-	var lastErr error
+	var zero T
 	for n := 0; ; n++ {
-		items, err := runHedged(ctx, p, r, attempt)
+		part, err := runHedged(ctx, p, r, i, produce)
 		if err == nil {
-			return items, nil
+			return part, nil
 		}
-		lastErr = err
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+			return zero, cerr
 		}
 		if n >= r.Backoff.Max || !retry.Retryable(err) {
-			return nil, lastErr
+			return zero, err
 		}
 		r.Retries.Inc()
-		if serr := retry.Sleep(ctx, r.Backoff.Delay(n+1, key)); serr != nil {
-			return nil, serr
+		if serr := retry.Sleep(ctx, r.Backoff.Delay(n+1, uint64(i))); serr != nil {
+			return zero, serr
 		}
 	}
+}
+
+// attempt is one try at shard i: the dispatch fault hook, a context
+// check, then produce.
+func attempt[T any](ctx context.Context, i int, produce func(context.Context, int) (T, error)) (T, error) {
+	if err := faultinject.Check(ctx, faultinject.SiteShardDispatch, uint64(i)); err != nil {
+		var zero T
+		return zero, err
+	}
+	if err := ctx.Err(); err != nil {
+		var zero T
+		return zero, err
+	}
+	return produce(ctx, i)
 }
 
 // runHedged executes one attempt with straggler hedging: the primary runs
@@ -103,20 +112,20 @@ func ProduceResilient[T any](ctx context.Context, p *Pool, r *Resilience, key ui
 // attempt's context is canceled and its result drained before returning.
 // When both fail, the first failure is returned (one attempt's error is
 // as good as the other's for the retry loop above).
-func runHedged[T any](ctx context.Context, p *Pool, r *Resilience, attempt func(context.Context) ([]T, error)) ([]T, error) {
+func runHedged[T any](ctx context.Context, p *Pool, r *Resilience, i int, produce func(context.Context, int) (T, error)) (T, error) {
 	if r.HedgeAfter <= 0 || r.budget.Load() <= 0 {
-		return attempt(ctx)
+		return attempt(ctx, i, produce)
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
-		items []T
-		err   error
+		part T
+		err  error
 	}
 	ch := make(chan result, 2)
 	go func() {
-		items, err := attempt(hctx)
-		ch <- result{items, err}
+		part, err := attempt(hctx, i, produce)
+		ch <- result{part, err}
 	}()
 	outstanding := 1
 	hedged := false
@@ -135,13 +144,14 @@ func runHedged[T any](ctx context.Context, p *Pool, r *Resilience, attempt func(
 			outstanding--
 			if res.err == nil {
 				drain()
-				return res.items, nil
+				return res.part, nil
 			}
 			if firstErr == nil {
 				firstErr = res.err
 			}
 			if outstanding == 0 {
-				return nil, firstErr
+				var zero T
+				return zero, firstErr
 			}
 		case <-timer.C:
 			if !hedged && r.takeHedge() {
@@ -149,20 +159,20 @@ func runHedged[T any](ctx context.Context, p *Pool, r *Resilience, attempt func(
 				r.Hedged.Inc()
 				outstanding++
 				go func() {
-					if err := p.acquireCtx(hctx); err != nil {
-						ch <- result{nil, err}
+					var res result
+					if res.err = p.acquireCtx(hctx); res.err != nil {
+						ch <- res
 						return
 					}
 					defer func() { <-p.sem }()
-					var items []T
-					var err error
-					p.runTask("hedge", func() { items, err = attempt(hctx) })
-					ch <- result{items, err}
+					p.runTask("hedge", func() { res.part, res.err = attempt(hctx, i, produce) })
+					ch <- res
 				}()
 			}
 		case <-ctx.Done():
 			drain()
-			return nil, ctx.Err()
+			var zero T
+			return zero, ctx.Err()
 		}
 	}
 }

@@ -23,6 +23,16 @@ func testResilience(maxRetries int, hedgeAfter time.Duration, hedgeBudget int) (
 		hedgeAfter, hedgeBudget, retries, hedged), retries, hedged
 }
 
+// runOne runs a single-shard Run under res and returns its part or error
+// — the shape every hedge/retry drill below needs.
+func runOne(ctx context.Context, p *Pool, res *Resilience, produce func(ctx context.Context) ([]int, error)) ([]int, error) {
+	var out []int
+	err := Run(ctx, p, res, 1,
+		func(ctx context.Context, _ int) ([]int, error) { return produce(ctx) },
+		func(_ int, part []int, err error) error { out = part; return err })
+	return out, err
+}
+
 // TestHedgeStragglerFirstResultWins: the primary attempt stalls well past
 // HedgeAfter, the hedged duplicate finishes instantly — the call must
 // return the duplicate's result promptly, count one hedge, and drain the
@@ -32,7 +42,7 @@ func TestHedgeStragglerFirstResultWins(t *testing.T) {
 	res, _, hedged := testResilience(0, 2*time.Millisecond, 1)
 	var attempts atomic.Int64
 	t0 := time.Now()
-	out, err := ProduceResilient(context.Background(), p, res, 0,
+	out, err := runOne(context.Background(), p, res,
 		func(ctx context.Context) ([]int, error) {
 			if attempts.Add(1) == 1 {
 				// The straggler: blocks until the race is decided and its
@@ -57,29 +67,28 @@ func TestHedgeStragglerFirstResultWins(t *testing.T) {
 }
 
 // TestHedgeBudgetSharedAcrossShards: the budget bounds duplicates for the
-// whole call — with budget 1, a second slow shard cannot hedge again; and
-// with budget 0 (or HedgeAfter 0) no duplicate ever launches.
+// whole call — with budget 1, the other slow shards cannot hedge again;
+// and with budget 0 (or HedgeAfter 0) no duplicate ever launches.
 func TestHedgeBudgetSharedAcrossShards(t *testing.T) {
 	p := NewPool(4)
 	res, _, hedged := testResilience(0, time.Millisecond, 1)
-	slowShard := func(ctx context.Context) ([]int, error) {
+	slowShard := func(ctx context.Context, _ int) ([]int, error) {
 		select { // slow but not stuck: finishes on its own
 		case <-time.After(15 * time.Millisecond):
 		case <-ctx.Done():
 		}
 		return []int{1}, nil
 	}
-	for shard := uint64(0); shard < 3; shard++ {
-		if _, err := ProduceResilient(context.Background(), p, res, shard, slowShard); err != nil {
-			t.Fatal(err)
-		}
+	sink := func(_ int, _ []int, err error) error { return err }
+	if err := Run(context.Background(), p, res, 3, slowShard, sink); err != nil {
+		t.Fatal(err)
 	}
 	if got := hedged.Load(); got != 1 {
 		t.Fatalf("budget 1: %d hedges launched", got)
 	}
 
 	res0, _, hedged0 := testResilience(0, 0, 8)
-	if _, err := ProduceResilient(context.Background(), p, res0, 0, slowShard); err != nil {
+	if err := Run(context.Background(), p, res0, 3, slowShard, sink); err != nil {
 		t.Fatal(err)
 	}
 	if hedged0.Load() != 0 {
@@ -94,7 +103,7 @@ func TestHedgeRetriesTransientFailures(t *testing.T) {
 	p := NewPool(2)
 	res, retries, _ := testResilience(3, 0, 0)
 	var n atomic.Int64
-	out, err := ProduceResilient(context.Background(), p, res, 0,
+	out, err := runOne(context.Background(), p, res,
 		func(context.Context) ([]int, error) {
 			if n.Add(1) <= 2 {
 				return nil, retry.Transient(errors.New("blip"))
@@ -111,7 +120,7 @@ func TestHedgeRetriesTransientFailures(t *testing.T) {
 	perm := errors.New("permanent")
 	res2, retries2, _ := testResilience(3, 0, 0)
 	var calls atomic.Int64
-	_, err = ProduceResilient(context.Background(), p, res2, 0,
+	_, err = runOne(context.Background(), p, res2,
 		func(context.Context) ([]int, error) {
 			calls.Add(1)
 			return nil, perm
@@ -127,7 +136,7 @@ func TestHedgeRetryBudgetExhausted(t *testing.T) {
 	p := NewPool(2)
 	res, retries, _ := testResilience(2, 0, 0)
 	var calls atomic.Int64
-	_, err := ProduceResilient(context.Background(), p, res, 5,
+	_, err := runOne(context.Background(), p, res,
 		func(context.Context) ([]int, error) {
 			calls.Add(1)
 			return nil, retry.Transient(errors.New("still down"))
@@ -141,8 +150,9 @@ func TestHedgeRetryBudgetExhausted(t *testing.T) {
 }
 
 // TestHedgeDispatchHookInjectsAndRetries: the sched.shard.dispatch fault
-// site fires inside the resilient attempt, keyed by shard — a keylimit
-// within the retry budget means every shard still succeeds.
+// site fires inside every attempt, keyed by shard — a keylimit within the
+// retry budget means every shard still succeeds. A nil policy still
+// passes the hook: its single attempt fails.
 func TestHedgeDispatchHookInjectsAndRetries(t *testing.T) {
 	faultinject.Enable(11, faultinject.Plan{
 		faultinject.SiteShardDispatch: {Every: 1, KeyLimit: 1, Fail: true},
@@ -150,18 +160,32 @@ func TestHedgeDispatchHookInjectsAndRetries(t *testing.T) {
 	defer faultinject.Disable()
 	p := NewPool(2)
 	res, retries, _ := testResilience(2, 0, 0)
-	for shard := uint64(0); shard < 4; shard++ {
-		out, err := ProduceResilient(context.Background(), p, res, shard,
-			func(context.Context) ([]int, error) { return []int{int(shard)}, nil })
-		if err != nil || len(out) != 1 {
-			t.Fatalf("shard %d: %v, %v", shard, out, err)
-		}
+	var got []int
+	err := Run(context.Background(), p, res, 4,
+		func(_ context.Context, i int) ([]int, error) { return []int{i}, nil },
+		func(i int, part []int, err error) error {
+			if err != nil || len(part) != 1 {
+				t.Fatalf("shard %d: %v, %v", i, part, err)
+			}
+			got = append(got, part...)
+			return nil
+		})
+	if err != nil || len(got) != 4 {
+		t.Fatalf("run: %v, %v", got, err)
 	}
 	if retries.Load() != 4 {
 		t.Fatalf("retries = %d, want 4 (one injected failure per shard)", retries.Load())
 	}
 	if fired := faultinject.Fired(faultinject.SiteShardDispatch); fired != 4 {
 		t.Fatalf("dispatch site fired %d times, want 4", fired)
+	}
+
+	faultinject.Enable(11, faultinject.Plan{
+		faultinject.SiteShardDispatch: {Every: 1, Fail: true},
+	})
+	if _, err := runOne(context.Background(), p, nil,
+		func(context.Context) ([]int, error) { return []int{1}, nil }); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("nil policy under dispatch faults: err = %v, want the injected failure", err)
 	}
 }
 
@@ -178,7 +202,7 @@ func TestHedgeCanceledContextWinsAndDrains(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			cancel()
 		}()
-		_, err := ProduceResilient(ctx, p, res, 0,
+		_, err := runOne(ctx, p, res,
 			func(actx context.Context) ([]int, error) {
 				<-actx.Done()
 				return nil, actx.Err()

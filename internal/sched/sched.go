@@ -17,7 +17,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fabp/internal/faultinject"
@@ -54,18 +53,27 @@ func Plan(starts, shardLen int) []Shard {
 // block layout: the first shard runs from lo to the aligned grid, later
 // shards are whole tiles. The scalar engine is indifferent to alignment.
 func PlanRange(lo, hi, shardLen int) []Shard {
+	return AppendPlanRange(nil, lo, hi, shardLen)
+}
+
+// AppendPlanRange is PlanRange writing into dst[:0], reusing its capacity
+// — a chunked stream plans every chunk without allocating.
+func AppendPlanRange(dst []Shard, lo, hi, shardLen int) []Shard {
+	shards := dst[:0]
 	if lo < 0 {
 		lo = 0
 	}
 	if hi <= lo {
-		return nil
+		return shards
 	}
 	if shardLen <= 0 {
 		shardLen = DefaultShardLen
 	}
 	// Round up to the 64-position block granularity.
 	shardLen = (shardLen + 63) &^ 63
-	shards := make([]Shard, 0, (hi-lo+shardLen-1)/shardLen+1)
+	if n := (hi-lo+shardLen-1)/shardLen + 1; cap(shards) < n {
+		shards = make([]Shard, 0, n)
+	}
 	for lo < hi {
 		// Snap the shard end to the aligned tile grid so every boundary
 		// after lo itself is 64-aligned (shardLen is a multiple of 64).
@@ -99,8 +107,8 @@ type poolMetrics struct {
 	// wait is submit-to-start latency (time blocked on the semaphore);
 	// run is task execution time.
 	wait, run *telemetry.Histogram
-	// backlog is the ordered-merge depth: StreamOrdered results produced
-	// but not yet emitted.
+	// backlog is the ordered-merge depth: Run parts produced but not yet
+	// handed to the sink.
 	backlog *telemetry.Gauge
 	// canceled counts tasks never dispatched because their run's context
 	// was canceled first — shards shed by cooperative cancellation.
@@ -135,19 +143,9 @@ func NewPool(workers int) *Pool {
 // Call before submitting work; it is not synchronized with running tasks.
 func (p *Pool) SetMetrics(reg *telemetry.Registry) { p.m = newPoolMetrics(reg) }
 
-// acquire blocks until a worker slot is free, recording queue pressure
-// and wait latency.
-func (p *Pool) acquire() {
-	p.m.queued.Add(1)
-	t0 := time.Now()
-	p.sem <- struct{}{}
-	p.m.wait.Observe(time.Since(t0))
-	p.m.queued.Add(-1)
-}
-
-// acquireCtx is acquire with a cancellation escape: it returns ctx.Err()
-// instead of a slot once the context is done, so a canceled scan stops
-// queueing behind a saturated pool.
+// acquireCtx blocks until a worker slot is free, recording queue pressure
+// and wait latency, or returns ctx.Err() once the context is done, so a
+// canceled scan stops queueing behind a saturated pool.
 func (p *Pool) acquireCtx(ctx context.Context) error {
 	p.m.queued.Add(1)
 	t0 := time.Now()
@@ -189,47 +187,16 @@ func Shared() *Pool {
 	return sharedPool
 }
 
-// Each runs run(0..n-1) on the pool and waits for all of them. Submission
-// blocks while the pool is saturated, bounding in-flight work.
-func (p *Pool) Each(n int, run func(i int)) {
+// Each runs run(0..n-1) on the pool and waits for all of them, with
+// cooperative cancellation: the context is checked before each task is
+// dispatched and a slot wait aborts when it fires. Dispatched tasks run to
+// completion — a task is the cancellation granularity — and Each always
+// waits for them, so no goroutine outlives the call. It returns the
+// context error that stopped dispatch (nil when every task ran);
+// undispatched tasks count on pool.tasks.canceled. A one-worker pool runs
+// the tasks inline, in order.
+func (p *Pool) Each(ctx context.Context, n int, run func(i int)) error {
 	if n <= 0 {
-		return
-	}
-	if p.Workers() == 1 {
-		for i := 0; i < n; i++ {
-			p.runTask("each", func() { run(i) })
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		p.acquire()
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-p.sem }()
-			p.runTask("each", func() { run(i) })
-		}(i)
-	}
-	wg.Wait()
-}
-
-// EachCtx is Each with cooperative cancellation: the context is checked
-// before each task is dispatched (the inter-shard checkpoint), and a slot
-// wait aborts when the context fires. Tasks already dispatched run to
-// completion — a shard is the cancellation granularity — and EachCtx
-// always waits for them before returning, so no goroutine outlives the
-// call. The first context error observed is returned; undispatched tasks
-// count on pool.tasks.canceled.
-//
-// A context that can never be canceled (Done() == nil, e.g.
-// context.Background) takes the exact Each path.
-func (p *Pool) EachCtx(ctx context.Context, n int, run func(i int)) error {
-	if n <= 0 {
-		return nil
-	}
-	if ctx.Done() == nil {
-		p.Each(n, run)
 		return nil
 	}
 	if p.Workers() == 1 {
@@ -260,223 +227,121 @@ func (p *Pool) EachCtx(ctx context.Context, n int, run func(i int)) error {
 	return err
 }
 
-// Gather runs produce(0..n-1) on the pool and concatenates the results in
-// index order — shards planned in position order come back as one
-// position-ordered hit list.
-func Gather[T any](p *Pool, n int, produce func(i int) []T) []T {
-	out, _ := GatherCtx(context.Background(), p, n, produce)
-	return out
-}
-
-// GatherCtx is Gather under a context: cancellation is checked between
-// shard dispatches (see EachCtx) and inside each dispatched task before
-// its scan starts, so a cancel mid-plan returns ctx.Err() after at most
-// the shards already executing finish. On error the partial results are
-// discarded and nil is returned.
-func GatherCtx[T any](ctx context.Context, p *Pool, n int, produce func(i int) []T) ([]T, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	if n == 1 {
-		if err := ctx.Err(); err != nil {
-			p.m.canceled.Inc()
-			return nil, err
-		}
-		return produce(0), nil
-	}
-	parts := make([][]T, n)
-	err := p.EachCtx(ctx, n, func(i int) {
-		// A task dispatched just before the cancel skips its scan; the
-		// call returns the context error either way.
-		if ctx.Err() != nil {
-			return
-		}
-		parts[i] = produce(i)
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	out := make([]T, 0, total)
-	for i, part := range parts {
-		// The shard-merge fault hook: one atomic load when injection is
-		// off, an injected failure aborts the concatenation.
-		if err := faultinject.Check(ctx, faultinject.SiteShardMerge, uint64(i)); err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-	}
-	return out, nil
-}
-
-// GatherBatch runs produce(0..n-1) on the pool — each call scanning one
-// shard for a whole batch and returning `streams` per-query hit lists —
-// and concatenates the results stream-wise in shard order: the fused
-// counterpart of Gather, one task per tile instead of one per
-// (query, tile) pair. See GatherBatchCtx for the contract.
-func GatherBatch[T any](p *Pool, n, streams int, produce func(i int) [][]T) [][]T {
-	out, _ := GatherBatchCtx(context.Background(), p, n, streams, produce)
-	return out
-}
-
-// GatherBatchCtx is GatherBatch under a context: cancellation is checked
-// between shard dispatches and inside each dispatched task before its
-// scan starts (see EachCtx), so a cancel mid-plan sheds the remaining
-// shards of every query at once and returns ctx.Err() after at most the
-// shards already executing finish. On error the partial results are
-// discarded and nil is returned. produce must return exactly `streams`
-// slices (shorter returns simply contribute nothing to the missing
-// streams); the result always has len == streams, with nil entries for
-// streams that produced no items.
-func GatherBatchCtx[T any](ctx context.Context, p *Pool, n, streams int, produce func(i int) [][]T) ([][]T, error) {
-	if n <= 0 || streams <= 0 {
-		return make([][]T, max(streams, 0)), ctx.Err()
-	}
-	if n == 1 {
-		if err := ctx.Err(); err != nil {
-			p.m.canceled.Inc()
-			return nil, err
-		}
-		out := produce(0)
-		for len(out) < streams {
-			out = append(out, nil)
-		}
-		return out, nil
-	}
-	parts := make([][][]T, n)
-	err := p.EachCtx(ctx, n, func(i int) {
-		// A task dispatched just before the cancel skips its scan; the
-		// call returns the context error either way.
-		if ctx.Err() != nil {
-			return
-		}
-		parts[i] = produce(i)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]T, streams)
-	for s := 0; s < streams; s++ {
-		total := 0
-		for _, part := range parts {
-			if s < len(part) {
-				total += len(part[s])
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		stream := make([]T, 0, total)
-		for _, part := range parts {
-			if s < len(part) {
-				stream = append(stream, part[s]...)
-			}
-		}
-		out[s] = stream
-	}
-	return out, nil
-}
-
-// StreamOrdered runs produce(0..n-1) on the pool and delivers every
-// produced item to emit in index order, holding at most Workers()+1
-// produced-but-unemitted batches in memory — the bounded-memory engine
-// under streaming database scans. The first error from produce or emit
-// stops the run (already-launched producers finish, their output is
-// dropped) and is returned.
-func StreamOrdered[T any](p *Pool, n int, produce func(i int) ([]T, error), emit func(T) error) error {
-	return StreamOrderedCtx(context.Background(), p, n, produce, emit)
-}
-
-// StreamOrderedCtx is StreamOrdered under a context. Cancellation
-// checkpoints sit at every stage boundary: the dispatcher stops launching
-// producers, a producer waiting for a pool slot aborts, a dispatched
-// producer skips its scan, and the ordered merge stops emitting — so the
-// call returns ctx.Err() after at most the shards already executing
-// finish. Producers launched before the cancel are always drained before
-// any later use of the pool can observe their backlog, and no goroutine
-// outlives the shards it was scanning.
-func StreamOrderedCtx[T any](ctx context.Context, p *Pool, n int, produce func(i int) ([]T, error), emit func(T) error) error {
+// Run is the shard executor: it runs produce for shards 0..n-1 and hands
+// each shard's part to sink in index order.
+//
+//   - Each shard is dispatched on the pool and runs under r (see
+//     Resilience; nil means one attempt). Every attempt first passes the
+//     sched.shard.dispatch fault hook and a context check.
+//   - Each produced part passes the sched.shard.merge fault hook. A shard
+//     that still fails, or fails that hook, reaches the sink as
+//     (i, zero, err); the sink decides whether that stops the run.
+//   - At most Workers()+1 parts are produced but not yet sunk, so a sink
+//     that emits as it goes holds bounded memory.
+//
+// The first error — the caller's context or a sink error — stops the
+// run: undispatched shards are shed (counted on
+// pool.tasks.canceled), in-flight attempts see a canceled context, and
+// Run waits for every goroutine it started before returning that error.
+// A canceled or expired caller context always surfaces as ctx.Err(), and
+// the sink never sees a part after it. A single shard runs inline on the
+// caller, without a pool slot.
+func Run[T any](ctx context.Context, p *Pool, r *Resilience, n int,
+	produce func(ctx context.Context, i int) (T, error),
+	sink func(i int, part T, err error) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
+	if err := ctx.Err(); err != nil {
+		p.m.canceled.Add(uint64(n))
+		return err
+	}
+	if n == 1 {
+		part, err := runShard(ctx, p, r, 0, produce)
+		return merge(ctx, 0, part, err, sink)
+	}
+
+	rctx, stop := context.WithCancel(ctx)
+	defer stop()
 	type result struct {
-		items []T
-		err   error
+		part T
+		err  error
 	}
 	results := make([]chan result, n)
 	for i := range results {
 		results[i] = make(chan result, 1)
 	}
-	// tickets bounds dispatch: one per produced-but-unconsumed shard.
+	// tickets bounds dispatch: one per produced-but-unsunk part.
 	tickets := make(chan struct{}, p.Workers()+1)
-	stop := make(chan struct{})
-	done := ctx.Done()
-	// consumed tracks how many results the ordered merge has taken; on an
-	// early stop the dispatcher drains the rest so the backlog gauge
-	// returns to its pre-call level.
-	var consumed atomic.Int64
+	var wg sync.WaitGroup
+	launched := 0 // written by the dispatcher, read after wg.Wait
+	wg.Add(1)
 	go func() {
-		launched := 0
-	dispatch:
+		defer wg.Done()
 		for i := 0; i < n; i++ {
 			select {
 			case tickets <- struct{}{}:
-			case <-stop:
-				break dispatch
-			case <-done:
+			case <-rctx.Done():
 				p.m.canceled.Add(uint64(n - i))
-				break dispatch
+				return
 			}
-			go func(i int) {
-				var items []T
-				err := p.acquireCtx(ctx)
-				if err == nil {
-					p.runTask("stream", func() {
-						if err = ctx.Err(); err == nil {
-							items, err = produce(i)
-						}
-					})
-					<-p.sem
-				}
-				p.m.backlog.Add(1)
-				results[i] <- result{items, err}
-			}(i)
+			if p.acquireCtx(rctx) != nil {
+				p.m.canceled.Add(uint64(n - i))
+				return
+			}
 			launched++
-		}
-		<-stop // the consumer is done; consumed is final
-		for j := int(consumed.Load()); j < launched; j++ {
-			<-results[j]
-			p.m.backlog.Add(-1)
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var res result
+				p.runTask("shard", func() { res.part, res.err = runShard(rctx, p, r, i, produce) })
+				<-p.sem
+				p.m.backlog.Add(1)
+				results[i] <- res
+			}(i)
 		}
 	}()
-	defer close(stop)
+
+	consumed := 0
+	finish := func(err error) error {
+		stop()
+		wg.Wait()
+		for ; consumed < launched; consumed++ {
+			<-results[consumed]
+			p.m.backlog.Add(-1)
+		}
+		return err
+	}
 	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
+		var res result
+		select {
+		case res = <-results[i]:
+			consumed++
+			p.m.backlog.Add(-1)
+			<-tickets
+		case <-ctx.Done():
+			// Only the caller's context stops the dispatcher while the
+			// merge still waits, so a missing part means a cancel.
+			return finish(ctx.Err())
 		}
-		r := <-results[i]
-		consumed.Store(int64(i + 1))
-		p.m.backlog.Add(-1)
-		<-tickets
-		if r.err != nil {
-			return r.err
-		}
-		// The shard-merge fault hook, mirroring GatherCtx's: an injected
-		// failure stops the ordered merge exactly like an emit error.
-		if err := faultinject.Check(ctx, faultinject.SiteShardMerge, uint64(i)); err != nil {
-			return err
-		}
-		for _, item := range r.items {
-			if err := emit(item); err != nil {
-				return err
-			}
+		if err := merge(ctx, i, res.part, res.err, sink); err != nil {
+			return finish(err)
 		}
 	}
-	return nil
+	return finish(nil)
+}
+
+// merge hands shard i's outcome to the sink in Run's order: the caller's
+// cancel wins, and a produced part must pass the shard-merge fault hook.
+func merge[T any](ctx context.Context, i int, part T, err error, sink func(int, T, error) error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	if err == nil {
+		if err = faultinject.Check(ctx, faultinject.SiteShardMerge, uint64(i)); err != nil {
+			var zero T
+			part = zero
+		}
+	}
+	return sink(i, part, err)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -16,10 +17,12 @@ func TestPoolMetricsReconcile(t *testing.T) {
 	p.SetMetrics(reg)
 
 	const n = 25
-	p.Each(n, func(i int) { time.Sleep(time.Microsecond) })
-	if err := StreamOrdered(p, n,
-		func(i int) ([]int, error) { return []int{i}, nil },
-		func(int) error { return nil },
+	if err := p.Each(context.Background(), n, func(i int) { time.Sleep(time.Microsecond) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(context.Background(), p, nil, n,
+		func(_ context.Context, i int) ([]int, error) { return []int{i}, nil },
+		func(int, []int, error) error { return nil },
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +52,13 @@ func TestStreamOrderedBacklogDrainsOnEarlyStop(t *testing.T) {
 	p.SetMetrics(reg)
 
 	boom := errors.New("boom")
-	err := StreamOrdered(p, 64,
-		func(i int) ([]int, error) {
+	err := Run(context.Background(), p, nil, 64,
+		func(_ context.Context, i int) ([]int, error) {
 			time.Sleep(time.Duration(i%5) * time.Millisecond)
 			return []int{i}, nil
 		},
-		func(v int) error {
-			if v >= 3 {
+		func(i int, _ []int, _ error) error {
+			if i >= 3 {
 				return boom
 			}
 			return nil
@@ -63,7 +66,7 @@ func TestStreamOrderedBacklogDrainsOnEarlyStop(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	// The dispatcher drains abandoned results asynchronously; poll briefly.
+	// Run drains abandoned parts before returning; poll briefly anyway.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if reg.Snapshot().Gauges["pool.merge.backlog"] == 0 {
@@ -79,13 +82,15 @@ func TestStreamOrderedBacklogDrainsOnEarlyStop(t *testing.T) {
 	}
 }
 
-// TestSerialPoolStillCounts: the Workers()==1 inline fast path must
-// record the same counters as the goroutine path.
+// TestSerialPoolStillCounts: the Workers()==1 inline path must record
+// the same counters as the goroutine path.
 func TestSerialPoolStillCounts(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := NewPool(1)
 	p.SetMetrics(reg)
-	p.Each(7, func(i int) {})
+	if err := p.Each(context.Background(), 7, func(i int) {}); err != nil {
+		t.Fatal(err)
+	}
 	s := reg.Snapshot()
 	if s.Counters["pool.tasks.completed"] != 7 {
 		t.Errorf("completed = %d, want 7", s.Counters["pool.tasks.completed"])

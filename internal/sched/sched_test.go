@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -84,7 +85,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		t.Fatalf("workers %d", p.Workers())
 	}
 	var cur, max atomic.Int64
-	p.Each(50, func(int) {
+	track := func() {
 		if c := cur.Add(1); c > max.Load() {
 			max.Store(c)
 		}
@@ -92,17 +93,63 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			_ = i
 		}
-	})
+	}
+	if err := p.Each(context.Background(), 50, func(int) { track() }); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(context.Background(), p, nil, 50,
+		func(context.Context, int) (int, error) { track(); return 0, nil },
+		func(int, int, error) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
 	if m := max.Load(); m > 3 {
 		t.Errorf("observed %d concurrent tasks, bound is 3", m)
 	}
 }
 
+// gather is the collect-every-part sink over Run for the tests below:
+// parts concatenate in the order Run hands them over.
+func gather[T any](ctx context.Context, p *Pool, n int, produce func(i int) []T) ([]T, error) {
+	var out []T
+	err := Run(ctx, p, nil, n,
+		func(_ context.Context, i int) ([]T, error) { return produce(i), nil },
+		func(_ int, part []T, err error) error {
+			if err != nil {
+				return err
+			}
+			out = append(out, part...)
+			return nil
+		})
+	return out, err
+}
+
+// gatherStreams is gather over per-stream parts: stream s of every part
+// concatenates into out[s] in shard order; short parts contribute nothing
+// to the streams they lack.
+func gatherStreams[T any](ctx context.Context, p *Pool, n, streams int, produce func(i int) [][]T) ([][]T, error) {
+	out := make([][]T, streams)
+	err := Run(ctx, p, nil, n,
+		func(_ context.Context, i int) ([][]T, error) { return produce(i), nil },
+		func(_ int, part [][]T, err error) error {
+			if err != nil {
+				return err
+			}
+			for s := range part {
+				out[s] = append(out[s], part[s]...)
+			}
+			return nil
+		})
+	return out, err
+}
+
 func TestGatherPreservesIndexOrder(t *testing.T) {
 	p := NewPool(8)
-	got := Gather(p, 40, func(i int) []int {
+	got, err := gather(context.Background(), p, 40, func(i int) []int {
 		return []int{i * 2, i*2 + 1}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 80 {
 		t.Fatalf("len %d", len(got))
 	}
@@ -111,7 +158,7 @@ func TestGatherPreservesIndexOrder(t *testing.T) {
 			t.Fatalf("got[%d] = %d", i, v)
 		}
 	}
-	if out := Gather(p, 5, func(int) []int { return nil }); out != nil {
+	if out, _ := gather(context.Background(), p, 5, func(int) []int { return nil }); out != nil {
 		t.Errorf("all-empty gather = %v, want nil", out)
 	}
 }
@@ -119,7 +166,7 @@ func TestGatherPreservesIndexOrder(t *testing.T) {
 func TestGatherBatchPreservesOrderPerStream(t *testing.T) {
 	p := NewPool(8)
 	const shards, streams = 40, 3
-	got := GatherBatch(p, shards, streams, func(i int) [][]int {
+	got, err := gatherStreams(context.Background(), p, shards, streams, func(i int) [][]int {
 		// Stream s gets s+1 items from each shard, tagged by shard order.
 		out := make([][]int, streams)
 		for s := range out {
@@ -129,6 +176,9 @@ func TestGatherBatchPreservesOrderPerStream(t *testing.T) {
 		}
 		return out
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != streams {
 		t.Fatalf("streams %d, want %d", len(got), streams)
 	}
@@ -146,26 +196,28 @@ func TestGatherBatchPreservesOrderPerStream(t *testing.T) {
 
 func TestGatherBatchRaggedAndEmpty(t *testing.T) {
 	p := NewPool(4)
-	// Producers may return fewer slices than streams; missing streams get
-	// nothing, untouched streams stay nil.
-	got := GatherBatch(p, 10, 3, func(i int) [][]int {
+	// Run hands parts over exactly as produced: ragged parts reach the
+	// sink ragged, so missing streams get nothing and stay nil.
+	got, err := gatherStreams(context.Background(), p, 10, 3, func(i int) [][]int {
 		if i%2 == 0 {
 			return [][]int{{i}}
 		}
 		return nil
 	})
-	if len(got) != 3 {
-		t.Fatalf("streams %d", len(got))
+	if err != nil || len(got) != 3 {
+		t.Fatalf("streams %d, err %v", len(got), err)
 	}
 	if len(got[0]) != 5 || got[1] != nil || got[2] != nil {
 		t.Fatalf("ragged gather: %v", got)
 	}
-	// Zero shards still yields one (nil) entry per stream.
-	if got := GatherBatch[int](p, 0, 2, nil); len(got) != 2 || got[0] != nil {
-		t.Fatalf("empty plan gather: %v", got)
+	// Zero shards never call produce or the sink.
+	if err := Run(context.Background(), p, nil, 0,
+		func(context.Context, int) (int, error) { t.Fatal("produce called"); return 0, nil },
+		func(int, int, error) error { t.Fatal("sink called"); return nil }); err != nil {
+		t.Fatalf("empty plan: %v", err)
 	}
-	// The single-shard fast path pads short returns to len == streams.
-	if got := GatherBatch(p, 1, 3, func(int) [][]int { return [][]int{{7}} }); len(got) != 3 || got[0][0] != 7 {
+	// The inline single-shard path hands over the part as produced.
+	if got, _ := gatherStreams(context.Background(), p, 1, 3, func(int) [][]int { return [][]int{{7}} }); len(got) != 3 || got[0][0] != 7 {
 		t.Fatalf("single-shard gather: %v", got)
 	}
 }
@@ -173,12 +225,14 @@ func TestGatherBatchRaggedAndEmpty(t *testing.T) {
 func TestStreamOrderedDeliversInOrder(t *testing.T) {
 	p := NewPool(4)
 	var got []int
-	err := StreamOrdered(p, 30, func(i int) ([]int, error) {
-		return []int{i * 10, i*10 + 1}, nil
-	}, func(v int) error {
-		got = append(got, v)
-		return nil
-	})
+	err := Run(context.Background(), p, nil, 30,
+		func(_ context.Context, i int) ([]int, error) {
+			return []int{i * 10, i*10 + 1}, nil
+		},
+		func(_ int, part []int, err error) error {
+			got = append(got, part...)
+			return err
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,27 +249,35 @@ func TestStreamOrderedDeliversInOrder(t *testing.T) {
 func TestStreamOrderedStopsOnError(t *testing.T) {
 	p := NewPool(4)
 	produceErr := errors.New("shard exploded")
-	err := StreamOrdered(p, 100, func(i int) ([]int, error) {
-		if i == 7 {
-			return nil, produceErr
-		}
-		return []int{i}, nil
-	}, func(int) error { return nil })
-	if !errors.Is(err, produceErr) {
-		t.Errorf("produce error lost: %v", err)
+	var failedAt int
+	err := Run(context.Background(), p, nil, 100,
+		func(_ context.Context, i int) ([]int, error) {
+			if i == 7 {
+				return nil, produceErr
+			}
+			return []int{i}, nil
+		},
+		func(i int, _ []int, err error) error {
+			failedAt = i
+			return err
+		})
+	if !errors.Is(err, produceErr) || failedAt != 7 {
+		t.Errorf("produce error lost: %v (sink saw shard %d)", err, failedAt)
 	}
 
 	emitErr := errors.New("consumer full")
 	var seen int
-	err = StreamOrdered(p, 100, func(i int) ([]int, error) {
-		return []int{i}, nil
-	}, func(v int) error {
-		seen++
-		if v == 5 {
-			return emitErr
-		}
-		return nil
-	})
+	err = Run(context.Background(), p, nil, 100,
+		func(_ context.Context, i int) ([]int, error) { return []int{i}, nil },
+		func(_ int, part []int, _ error) error {
+			for _, v := range part {
+				seen++
+				if v == 5 {
+					return emitErr
+				}
+			}
+			return nil
+		})
 	if !errors.Is(err, emitErr) {
 		t.Errorf("emit error lost: %v", err)
 	}
@@ -237,7 +299,10 @@ func TestPoolSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			hits := Gather(p, 20, func(i int) []int { return []int{i} })
+			hits, err := gather(context.Background(), p, 20, func(i int) []int { return []int{i} })
+			if err != nil {
+				t.Error(err)
+			}
 			total.Add(int64(len(hits)))
 		}()
 	}

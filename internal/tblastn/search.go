@@ -376,7 +376,7 @@ type frameScan struct {
 func scanFrames(ctx context.Context, idx *Index, ref bio.NucSeq, o *Options, st *Stats) ([]TranslatedFrame, []HSP, error) {
 	outs := make([]frameScan, o.Frames)
 	pool := sched.NewPool(min(o.Threads, o.Frames))
-	if err := pool.EachCtx(ctx, len(outs), func(fi int) {
+	if err := pool.Each(ctx, len(outs), func(fi int) {
 		out := &outs[fi]
 		out.frame = translateFrame(ref, Frame(fi))
 		out.hsps, out.st, out.err = scanFrame(ctx, idx, &out.frame, o)

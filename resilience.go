@@ -1,25 +1,20 @@
 // resilience.go is the facade of the scan pipeline's resilience layer:
-// the public retry/hedge policy (WithRetryPolicy), opt-in partial-result
-// degradation (WithPartialResults, PartialError) and the glue that routes
-// shard scans through the scheduler's resilient path — bounded retries
-// with deterministic jittered backoff, hedged duplicates for stragglers,
-// and, when opted in, a scan that survives failed shards and reports
-// exactly which window ranges it could not cover.
+// the public retry/hedge policy (WithRetryPolicy, SetBatchRetryPolicy) and
+// opt-in partial-result degradation (WithPartialResults, PartialError).
+// Every shard of every nucleotide scan runs under the policy (see
+// shardRun): bounded retries with deterministic jittered backoff, hedged
+// duplicates for stragglers and, when opted in, a scan that survives
+// failed shards and reports exactly which window ranges it could not
+// cover. The zero policy is one attempt per shard.
 package fabp
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"fabp/internal/core"
-	"fabp/internal/faultinject"
 	"fabp/internal/retry"
-	"fabp/internal/sched"
 )
 
 // RetryPolicy bounds the automatic re-execution the scan pipeline may do
@@ -44,11 +39,6 @@ type RetryPolicy struct {
 	// Seed drives the deterministic jitter (shared by every shard, each
 	// decorrelated by its index).
 	Seed uint64
-}
-
-// enabled reports whether the policy changes anything over a bare scan.
-func (rp RetryPolicy) enabled() bool {
-	return rp.MaxRetries > 0 || (rp.HedgeAfter > 0 && rp.HedgeBudget > 0)
 }
 
 // backoff renders the policy as the retry package's schedule.
@@ -76,7 +66,7 @@ func (rp RetryPolicy) validate() error {
 func WithRetryPolicy(rp RetryPolicy) AlignerOption {
 	return func(c *alignerConfig) {
 		if err := rp.validate(); err != nil {
-			c.err = err
+			c.err = badOption(err)
 			return
 		}
 		c.retryPolicy = rp
@@ -145,162 +135,4 @@ func currentBatchRetryPolicy() RetryPolicy {
 	batchRetryMu.RLock()
 	defer batchRetryMu.RUnlock()
 	return batchRetryPolicy
-}
-
-// resilientScans reports whether this aligner's shard scans must route
-// through the resilient path: an explicit policy, partial mode, or
-// active fault injection (the shard-dispatch hook site lives on the
-// resilient path). All three off — the production default — keeps scans
-// on the historical zero-overhead path.
-func (a *Aligner) resilientScans() bool {
-	return a.retryPolicy.enabled() || a.partial || faultinject.Enabled()
-}
-
-// newResilience builds the per-call scheduler policy from rp, reporting
-// on tm's counters.
-func newResilience(rp RetryPolicy, tm *alignerMetrics) *sched.Resilience {
-	return sched.NewResilience(rp.backoff(), rp.HedgeAfter, rp.HedgeBudget, tm.retries, tm.hedged)
-}
-
-// shardFailure records one shard's terminal failure during a resilient
-// scan.
-type shardFailure struct {
-	shard sched.Shard
-	err   error
-}
-
-// failureCollector accumulates shard failures across pool workers.
-type failureCollector struct {
-	mu     sync.Mutex
-	failed []shardFailure
-}
-
-func (fc *failureCollector) add(s sched.Shard, err error) {
-	fc.mu.Lock()
-	fc.failed = append(fc.failed, shardFailure{s, err})
-	fc.mu.Unlock()
-}
-
-// partialError renders the collected failures as a position-ordered
-// *PartialError.
-func (fc *failureCollector) partialError() *PartialError {
-	sort.Slice(fc.failed, func(i, j int) bool { return fc.failed[i].shard.Lo < fc.failed[j].shard.Lo })
-	pe := &PartialError{Failed: make([]ShardRange, len(fc.failed))}
-	for i, f := range fc.failed {
-		pe.Failed[i] = ShardRange{Lo: f.shard.Lo, Hi: f.shard.Hi, Err: f.err}
-	}
-	return pe
-}
-
-// firstRealError returns the first failure that is not a context error —
-// the root cause when the scan shed its remaining shards after one shard
-// failed unrecoverably.
-func (fc *failureCollector) firstRealError() error {
-	var fallback error
-	for _, f := range fc.failed {
-		if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-			if fallback == nil {
-				fallback = f.err
-			}
-			continue
-		}
-		return fmt.Errorf("fabp: shard [%d,%d): %w", f.shard.Lo, f.shard.Hi, f.err)
-	}
-	return fallback
-}
-
-// gatherResilient is the resilient arm of the aligner's shard gather
-// (scanShardsCtx): every shard runs under the aligner's retry/hedge
-// policy, failures are collected, and the outcome depends on the mode —
-// without partial results the first unrecoverable failure cancels the
-// remaining shards and fails the scan; with them the scan completes on
-// the surviving shards and returns a *PartialError beside the hits.
-func (a *Aligner) gatherResilient(ctx context.Context, shards []sched.Shard, scan func(lo, hi int) []core.Hit) ([]core.Hit, error) {
-	res := newResilience(a.retryPolicy, &a.tm)
-	fc := &failureCollector{}
-	sctx, cancelShards := context.WithCancel(ctx)
-	defer cancelShards()
-	hits, gerr := sched.GatherCtx(sctx, a.pool, len(shards), func(i int) []core.Hit {
-		out, err := sched.ProduceResilient(sctx, a.pool, res, uint64(i), func(actx context.Context) ([]core.Hit, error) {
-			if err := actx.Err(); err != nil {
-				return nil, err
-			}
-			return scan(shards[i].Lo, shards[i].Hi), nil
-		})
-		if err != nil {
-			fc.add(shards[i], err)
-			if !a.partial {
-				// Shed the rest of the plan; the scan is already lost.
-				cancelShards()
-			}
-			return nil
-		}
-		return out
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err // the caller's cancel/deadline wins over shard failures
-	}
-	if len(fc.failed) > 0 {
-		if !a.partial {
-			return nil, fc.firstRealError()
-		}
-		a.tm.partial.Inc()
-		return hits, fc.partialError()
-	}
-	return hits, gerr
-}
-
-// gatherBatchResilient is the fused batch scan's resilient arm. Batches
-// have no partial mode — a shard that still fails after the retry policy
-// is exhausted fails the whole batch (every query's results depend on
-// every shard).
-func gatherBatchResilient(ctx context.Context, pool *sched.Pool, rp RetryPolicy, tm *alignerMetrics, shards []sched.Shard, k int, scanShard func(i int) [][]core.Hit) ([][]core.Hit, error) {
-	res := newResilience(rp, tm)
-	fc := &failureCollector{}
-	sctx, cancelBatch := context.WithCancel(ctx)
-	defer cancelBatch()
-	perQuery, gerr := sched.GatherBatchCtx(sctx, pool, len(shards), k, func(i int) [][]core.Hit {
-		out, err := sched.ProduceResilient(sctx, pool, res, uint64(i), func(actx context.Context) ([][]core.Hit, error) {
-			if err := actx.Err(); err != nil {
-				return nil, err
-			}
-			return scanShard(i), nil
-		})
-		if err != nil {
-			fc.add(shards[i], err)
-			cancelBatch()
-			return nil
-		}
-		return out
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(fc.failed) > 0 {
-		return nil, fc.firstRealError()
-	}
-	return perQuery, gerr
-}
-
-// resilientStreamProduce wraps a streaming scan's per-shard produce with
-// the retry/hedge policy and partial-mode failure capture: in partial
-// mode an exhausted shard contributes no hits and is recorded on fc (the
-// merge continues); otherwise its failure stops the stream.
-func resilientStreamProduce[T any](ctx context.Context, pool *sched.Pool, res *sched.Resilience, partial bool, fc *failureCollector, shards []sched.Shard, produce func(i int) ([]T, error)) func(i int) ([]T, error) {
-	return func(i int) ([]T, error) {
-		out, err := sched.ProduceResilient(ctx, pool, res, uint64(i), func(actx context.Context) ([]T, error) {
-			if err := actx.Err(); err != nil {
-				return nil, err
-			}
-			return produce(i)
-		})
-		if err != nil {
-			if partial && ctx.Err() == nil {
-				fc.add(shards[i], err)
-				return nil, nil
-			}
-			return nil, fmt.Errorf("fabp: shard [%d,%d): %w", shards[i].Lo, shards[i].Hi, err)
-		}
-		return out, nil
-	}
 }

@@ -436,12 +436,9 @@ func (req ScanRequest) planProtein() (*scanPlan, error) {
 // newAligner builds the plan's aligner — only on the cold path; cache
 // hits never reach here.
 func (p *scanPlan) newAligner() (*Aligner, error) {
-	opts := []AlignerOption{WithThreshold(p.threshold), WithKernelType(p.req.Kernel)}
+	opts := []AlignerOption{WithThreshold(p.threshold), WithKernelType(p.req.Kernel), WithRetryPolicy(p.req.RetryPolicy)}
 	if p.req.ShardLen > 0 {
 		opts = append(opts, WithShardLen(p.req.ShardLen))
-	}
-	if p.req.RetryPolicy.enabled() {
-		opts = append(opts, WithRetryPolicy(p.req.RetryPolicy))
 	}
 	if p.req.Partial {
 		opts = append(opts, WithPartialResults())

@@ -155,58 +155,45 @@ func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, tm *alignerMetr
 	}
 }
 
-// batchChunkHits scans one packed chunk's fresh window range [lo, hi)
-// for every query of bk in one pass over the shared planes, sharded across
-// pool like a database scan, with per-query hit streams merged in
-// position order; a single query is K=1. Under rp or active fault
-// injection every shard routes through the resilient path (retries,
-// hedging, the dispatch fault hook). Otherwise a chunk that fits one
-// shard runs inline into scratch — the previous chunk's result, whose
-// hits the caller has already delivered — so the steady-state stream
-// allocates nothing here until hits appear. Fused-pass and plane-reuse
-// accounting matches the database batch path, so stream and database
-// fusion read identically on the instrument panel.
-func batchChunkHits(ctx context.Context, bk *bitpar.BatchKernel, pool *sched.Pool, rp RetryPolicy, tm *alignerMetrics, pp *bitpar.Planes, lo, hi int, scratch [][]core.Hit) ([][]core.Hit, error) {
-	tk := time.Now()
-	nShards := 1
-	var perQuery [][]core.Hit
-	if resilient := rp.enabled() || faultinject.Enabled(); !resilient && hi <= lo&^63+sched.DefaultShardLen {
-		for qi := range scratch {
-			scratch[qi] = scratch[qi][:0]
-		}
-		tm.shardsPlanned.Inc()
-		perQuery = scanChunkShard(bk, tm, pp, lo, hi, scratch)
-	} else {
-		shards := sched.PlanRange(lo, hi, 0)
-		nShards = len(shards)
-		tm.shardsPlanned.Add(uint64(nShards))
-		scanShard := func(i int) [][]core.Hit {
-			return scanChunkShard(bk, tm, pp, shards[i].Lo, shards[i].Hi, nil)
-		}
-		var err error
-		if resilient {
-			perQuery, err = gatherBatchResilient(ctx, pool, rp, tm, shards, bk.NumQueries(), scanShard)
-		} else {
-			perQuery, err = sched.GatherBatchCtx(ctx, pool, nShards, bk.NumQueries(), scanShard)
-		}
+// scanStream is the chunked stream scan behind AlignStream (K=1) and
+// AlignBatchStream: scanChunks packs each chunk once, and the chunk's
+// fresh window starts [lo, hi) run for every query of bk in one pass over
+// the shared planes, as the shards of one per-stream shardRun on pool
+// under rp. A chunk that fits one shard runs inline into the previous
+// chunk's hit lists — already delivered — so the steady-state stream
+// allocates nothing here until hits appear. Hits reach emit with their
+// query index, in position order per query within each chunk. Fused-pass
+// and plane-reuse accounting matches the database batch path, so stream
+// and database fusion read identically on the instrument panel.
+func scanStream(ctx context.Context, r io.Reader, bk *bitpar.BatchKernel, pool *sched.Pool, rp RetryPolicy, tm *alignerMetrics, emit func(qi int, h Hit) error) error {
+	var pp *bitpar.Planes
+	run := newShardRun(pool, rp, false, tm, bk.NumQueries(), func(lo, hi int, dst [][]core.Hit) [][]core.Hit {
+		return bk.AlignPlanesRange(pp, lo, hi, dst)
+	})
+	var shards []sched.Shard
+	err := scanChunks(ctx, r, bk.MaxElems(), bk.MinElems(), tm, rp, func(chunk *bitpar.Planes, lo, hi, base int) error {
+		pp = chunk
+		shards = sched.AppendPlanRange(shards, lo, hi, 0)
+		t0 := time.Now()
+		perQuery, err := run.run(ctx, shards)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		recordFused(tm, bk.NumQueries(), len(shards), pp.SizeBytes(), t0)
+		for qi, hits := range perQuery {
+			tm.hits.Add(uint64(len(hits)))
+			for _, h := range hits {
+				if err := emit(qi, Hit{Pos: base + h.Pos, Score: h.Score}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		tm.recordCtxErr(err)
 	}
-	observeSince(tm.batchKernelLatency, tk)
-	tm.batchFusedPasses.Add(uint64(nShards))
-	tm.batchPlaneBytesSaved.Add(uint64(bk.NumQueries()-1) * uint64(pp.SizeBytes()))
-	return perQuery, nil
-}
-
-// scanChunkShard scans window starts [lo, hi) of a packed chunk for the
-// whole batch, appending into dst, timed and counted as one shard.
-func scanChunkShard(bk *bitpar.BatchKernel, tm *alignerMetrics, pp *bitpar.Planes, lo, hi int, dst [][]core.Hit) [][]core.Hit {
-	ts := time.Now()
-	dst = bk.AlignPlanesRange(pp, lo, hi, dst)
-	observeSince(tm.shardLatency, ts)
-	tm.shardsRun.Inc()
-	return dst
+	return err
 }
 
 // AlignBatchStream scans one nucleotide stream with many queries in a
@@ -231,7 +218,7 @@ func AlignBatchStream(queries []*Query, r io.Reader, thresholdFrac float64, emit
 // batch retry policy (SetBatchRetryPolicy).
 func AlignBatchStreamContext(ctx context.Context, queries []*Query, r io.Reader, thresholdFrac float64, emit func(query int, h Hit) error) error {
 	if len(queries) == 0 {
-		return fmt.Errorf("fabp: empty batch")
+		return badQueryf("fabp: empty batch")
 	}
 	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
 	if err != nil {
@@ -248,27 +235,5 @@ func AlignBatchStreamContext(ctx context.Context, queries []*Query, r io.Reader,
 	tm.kernelBitpar.Add(k)
 	t0 := time.Now()
 	defer func() { observeSince(tm.alignLatency, t0) }()
-	rp := currentBatchRetryPolicy()
-	var scratch [][]core.Hit
-	err = scanChunks(ctx, r, bk.MaxElems(), bk.MinElems(), tm, rp,
-		func(pp *bitpar.Planes, lo, hi, base int) error {
-			perQuery, cerr := batchChunkHits(ctx, bk, sched.Shared(), rp, tm, pp, lo, hi, scratch)
-			if cerr != nil {
-				return cerr
-			}
-			scratch = perQuery
-			for qi, hits := range perQuery {
-				tm.hits.Add(uint64(len(hits)))
-				for _, h := range hits {
-					if err := emit(qi, Hit{Pos: base + h.Pos, Score: h.Score}); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		tm.recordCtxErr(err)
-	}
-	return err
+	return scanStream(ctx, r, bk, sched.Shared(), currentBatchRetryPolicy(), tm, emit)
 }

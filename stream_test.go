@@ -189,12 +189,15 @@ func TestChaosStreamReadRetryRecoversFullScan(t *testing.T) {
 // stream's emitted hits must still match its own in-memory oracle exactly
 // — reuse may never leak one chunk's (or one stream's) plane words into
 // another's results. Run under -race this also proves no shard goroutine
-// reads a builder being mutated.
+// reads a builder being mutated. Odd streams hedge every chunk's shard
+// at once, so two attempts race for the stream's reused hit lists and
+// each must still get its own.
 func TestAlignStreamPooledPlanesNoAliasing(t *testing.T) {
 	defer func(old int) { streamChunkLetters = old }(streamChunkLetters)
 	streamChunkLetters = 2048 // many carries per stream, heavy pool churn
 
 	const streams = 8
+	hedgedBefore := DefaultMetrics().Snapshot().Counters["scan.hedged"]
 	var wg sync.WaitGroup
 	errs := make([]error, streams)
 	for s := 0; s < streams; s++ {
@@ -209,12 +212,21 @@ func TestAlignStreamPooledPlanesNoAliasing(t *testing.T) {
 				errs[s] = err
 				return
 			}
-			a, err := NewAligner(q, WithThresholdFraction(0.7), WithKernelType(KernelBitParallel))
+			opts := []AlignerOption{WithThresholdFraction(0.7), WithKernelType(KernelBitParallel)}
+			oracle, err := NewAligner(q, opts...)
 			if err != nil {
 				errs[s] = err
 				return
 			}
-			want := a.Align(ref)
+			if s%2 == 1 {
+				opts = append(opts, WithRetryPolicy(RetryPolicy{HedgeAfter: time.Nanosecond, HedgeBudget: 1 << 20}))
+			}
+			a, err := NewAligner(q, opts...)
+			if err != nil {
+				errs[s] = err
+				return
+			}
+			want := oracle.Align(ref)
 			if len(want) == 0 {
 				errs[s] = fmt.Errorf("stream %d: no hits; test is vacuous", s)
 				return
@@ -245,6 +257,9 @@ func TestAlignStreamPooledPlanesNoAliasing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if DefaultMetrics().Snapshot().Counters["scan.hedged"] == hedgedBefore {
+		t.Fatal("no chunk shard hedged; the hedged streams are vacuous")
 	}
 }
 
