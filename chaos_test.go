@@ -122,8 +122,6 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 		faultinject.SiteStreamRead:    {Prob: 0.1, KeyLimit: 2, Fail: true},
 	})
 	defer faultinject.Disable()
-	SetBatchRetryPolicy(chaosRetryPolicy)
-	defer SetBatchRetryPolicy(RetryPolicy{})
 
 	a := mustConformAligner(t, q, WithThresholdFraction(0.7), WithShardLen(2048),
 		WithRetryPolicy(chaosRetryPolicy))
@@ -158,13 +156,15 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 		assertRecordHitsEqual(t, "chaos AlignDatabaseStream", wantRec, streamed)
 		scans++
 
-		// Path 4: fused batch under the package-level policy.
-		gotBatch, err := AlignBatch(queries, ref, 0.7)
+		// Path 4: fused batch under the request's policy.
+		gotBatch, err := Scan(context.Background(), ScanRequest{
+			Queries: queries, Reference: ref, ThresholdFrac: 0.7, RetryPolicy: chaosRetryPolicy,
+		})
 		if err != nil {
-			t.Fatalf("round %d AlignBatch: %v", round, err)
+			t.Fatalf("round %d batch Scan: %v", round, err)
 		}
 		for qi := range wantBatch {
-			assertHitsEqual(t, "chaos AlignBatch", wantBatch[qi], gotBatch[qi])
+			assertHitsEqual(t, "chaos AlignBatch", wantBatch[qi], gotBatch.PerQuery[qi].Hits)
 		}
 		scans++
 	}
@@ -433,20 +433,20 @@ func TestChaosNonPartialShardFailureFailsScan(t *testing.T) {
 		{"AlignDatabaseStreamContext", nil, func() (int, error) {
 			return 0, a.AlignDatabaseStreamContext(ctx, bigDB, func(RecordHit) error { return nil })
 		}},
-		{"AlignBatchContext", nil, func() (int, error) {
-			hits, err := AlignBatchContext(ctx, queries, big, 0.7)
-			return len(hits), err
+		{"Scan Queries/Reference", nil, func() (int, error) {
+			return scanCount(Scan(ctx, ScanRequest{Queries: queries, Reference: big, ThresholdFrac: 0.7}))
 		}},
-		{"AlignDatabaseBatchContext", nil, func() (int, error) {
-			hits, err := AlignDatabaseBatchContext(ctx, bigDB, queries, 0.7)
-			return len(hits), err
+		{"Scan Queries/Database", nil, func() (int, error) {
+			return scanCount(Scan(ctx, ScanRequest{Queries: queries, Database: bigDB, ThresholdFrac: 0.7}))
 		}},
 		{"AlignStreamContext", nil, func() (int, error) {
 			return 0, a.AlignStreamContext(ctx, strings.NewReader(bigText), func(Hit) error { return nil })
 		}},
-		{"AlignBatchStreamContext", nil, func() (int, error) {
-			return 0, AlignBatchStreamContext(ctx, queries, strings.NewReader(bigText), 0.7,
-				func(int, Hit) error { return nil })
+		{"Scan Queries/Stream", nil, func() (int, error) {
+			return scanCount(Scan(ctx, ScanRequest{
+				Queries: queries, Stream: strings.NewReader(bigText), ThresholdFrac: 0.7,
+				Emit: func(int, Hit) error { return nil },
+			}))
 		}},
 		{"Session.RunContext", nil, func() (int, error) {
 			hits, _, err := sess.RunContext(ctx, q, 0.7)
@@ -478,6 +478,18 @@ func TestChaosNonPartialShardFailureFailsScan(t *testing.T) {
 			t.Errorf("%s: failed scan returned %d results; must return none", row.name, n)
 		}
 	}
+}
+
+// scanCount is a failed-scan row's result count: the hits a Queries Scan
+// handed back beside its error (it must be none).
+func scanCount(res *ScanResult, err error) (int, error) {
+	n := 0
+	if res != nil {
+		for _, qr := range res.PerQuery {
+			n += len(qr.Hits) + len(qr.RecordHits)
+		}
+	}
+	return n, err
 }
 
 // TestChaosDBSectionLoadInjection: the db.section.load hook turns a load

@@ -19,6 +19,9 @@
 //	                    "max_hits":100, "timeout_ms":500} — one fused scan
 //	                    for the whole batch; a K-query batch takes K
 //	                    in-flight slots (admission weighs scan work)
+//	POST /align/stream?query=MKWVTF...&query=...&threshold_frac=0.85
+//	                   body: a raw nucleotide stream — one fused scan per
+//	                   packed chunk; NDJSON hit lines, then a trailer
 //	POST /search       {"query":"MKWVTF...", "two_hit":true, "frames":6,
 //	                    "min_score":35, "max_evalue":1e-3, "max_hits":100,
 //	                    "timeout_ms":500} — TBLASTN-style protein search
@@ -100,10 +103,6 @@ func main() {
 		HedgeAfter:  *hedgeAfter,
 		HedgeBudget: *hedgeBudget,
 	}
-	// The fused batch path is package-level (no per-request aligner), so
-	// it takes the server's policy globally.
-	fabp.SetBatchRetryPolicy(rp)
-
 	s := newServer(serverConfig{
 		db:             db,
 		maxInflight:    *maxInflight,

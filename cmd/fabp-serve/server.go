@@ -1,15 +1,14 @@
 // server.go holds the fabp-serve HTTP layer, separated from main so the
-// handler stack is testable with httptest: a preloaded database, an align
-// endpoint riding the facade's unified Scan spine (content-addressed
-// result cache included), a deadline-aware weighted admission queue, and
-// the observability endpoints.
+// handler stack is testable with httptest: a preloaded database, four scan
+// routes sharing one pipeline onto the facade's Scan front door
+// (content-addressed result cache included), a deadline-aware weighted
+// admission queue, and the observability endpoints.
 package main
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -52,10 +51,10 @@ type serverConfig struct {
 	// startup ("persisted" for a v2 file's plane section, "packed" when
 	// the server packed them itself) — surfaced on /healthz.
 	planeSource string
-	// retryPolicy is the server's default scan resilience (retries,
-	// backoff, hedging); a request's retry_budget overrides the retry
-	// count within [0, serverMaxRetryBudget]. The zero policy scans
-	// single-attempt, the historical behavior.
+	// retryPolicy is the server's scan resilience (retries, backoff,
+	// hedging) on every nucleotide route; an /align request's retry_budget
+	// overrides the retry count within [0, serverMaxRetryBudget]. The zero
+	// policy scans single-attempt, the historical behavior.
 	retryPolicy fabp.RetryPolicy
 }
 
@@ -83,20 +82,13 @@ type server struct {
 	// adm is the weighted, deadline-aware admission queue every scan
 	// passes through — except cache hits, which bypass it entirely.
 	adm *sched.Admission
-	// scan executes one prepared request against the unified Scan spine
-	// under the request context. Overridable in tests to model slow or
-	// stuck scans deterministically.
+	// scan executes one decoded request against the Scan front door under
+	// the request context. Overridable in tests to model slow or stuck
+	// scans deterministically.
 	scan func(ctx context.Context, req fabp.ScanRequest) (*fabp.ScanResult, error)
 	// lookup probes the scan-result cache without scanning or queueing;
 	// a hit answers the request before admission. Overridable in tests.
 	lookup func(req fabp.ScanRequest) (*fabp.ScanResult, bool)
-	// scanBatch executes a whole batch in one fused pass under the request
-	// context, returning per-query attributed hits. Overridable in tests.
-	scanBatch func(ctx context.Context, d *fabp.Database, queries []*fabp.Query, thresholdFrac float64) ([][]fabp.RecordHit, error)
-	// streamBatch scans a client-supplied nucleotide stream with every
-	// query of a batch fused over each packed chunk, emitting hits as they
-	// complete. Overridable in tests.
-	streamBatch func(ctx context.Context, queries []*fabp.Query, body io.Reader, thresholdFrac float64, emit func(query int, h fabp.Hit) error) error
 	// m holds the serve-layer counters, registered beside the alignment
 	// pipeline's metrics in the process-wide registry so /metrics is one
 	// coherent snapshot.
@@ -138,16 +130,10 @@ func newServer(cfg serverConfig) *server {
 	}
 	reg := telemetry.Default()
 	return &server{
-		cfg: cfg,
-		adm: sched.NewAdmission(cfg.maxInflight, cfg.maxQueue),
-		scan: func(ctx context.Context, req fabp.ScanRequest) (*fabp.ScanResult, error) {
-			return fabp.Scan(ctx, req)
-		},
+		cfg:    cfg,
+		adm:    sched.NewAdmission(cfg.maxInflight, cfg.maxQueue),
+		scan:   fabp.Scan,
 		lookup: fabp.CachedScan,
-		scanBatch: func(ctx context.Context, d *fabp.Database, queries []*fabp.Query, thresholdFrac float64) ([][]fabp.RecordHit, error) {
-			return fabp.AlignDatabaseBatchContext(ctx, d, queries, thresholdFrac)
-		},
-		streamBatch: fabp.AlignBatchStreamContext,
 		m: serveMetrics{
 			requests:       reg.Counter("serve.requests"),
 			rejected:       reg.Counter("serve.rejected.overload"),
@@ -167,13 +153,14 @@ func newServer(cfg serverConfig) *server {
 	}
 }
 
-// handler builds the route table.
+// handler builds the route table: four wire forms of one scan pipeline,
+// plus the observability endpoints.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /align", s.handleAlign)
-	mux.HandleFunc("POST /align/batch", s.handleAlignBatch)
-	mux.HandleFunc("POST /align/stream", s.handleAlignStream)
-	mux.HandleFunc("POST /search", s.handleSearch)
+	mux.HandleFunc("POST /align", s.pipeline(s.decodeAlign))
+	mux.HandleFunc("POST /align/batch", s.pipeline(s.decodeBatch))
+	mux.HandleFunc("POST /align/stream", s.pipeline(s.decodeStream))
+	mux.HandleFunc("POST /search", s.pipeline(s.decodeSearch))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -258,24 +245,110 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// requestError is a request the pipeline rejects while decoding, before
+// any admission or scan work: 400, or 413 for an oversized body.
+type requestError struct {
+	status int
+	msg    string
+}
+
+func badRequest(format string, args ...any) *requestError {
+	return &requestError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+}
+
+// scanCall is one request decoded from its route's wire form: the
+// ScanRequest to run, its deadline, and how the route answers.
+type scanCall struct {
+	req     fabp.ScanRequest
+	timeout time.Duration
+	// op names the operation in deadline and failure messages.
+	op string
+	// encode writes the route's response for a clean or degraded result —
+	// or, once a streaming route has committed its response, for a
+	// failed one.
+	encode func(w http.ResponseWriter, res *fabp.ScanResult, err error, elapsed time.Duration)
+	// committed, set by streaming routes, reports that the status line is
+	// written: a late error then ends the stream instead of picking a
+	// status.
+	committed func() bool
+}
+
 // decodeBody decodes a JSON request body of at most serverMaxBodyBytes
-// into v. On failure it writes the error response (413 for an oversized
-// body, counted on serve.rejected.too_large; 400 otherwise) and reports
-// false.
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// into v: 413 for an oversized body, counted on serve.rejected.too_large;
+// 400 otherwise.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *requestError {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serverMaxBodyBytes)).Decode(v)
 	if err == nil {
-		return true
+		return nil
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		s.m.tooLarge.Inc()
-		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		return false
+		return &requestError{
+			status: http.StatusRequestEntityTooLarge,
+			msg:    fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
+		}
 	}
-	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-	return false
+	return badRequest("bad request body: %v", err)
 }
+
+// parseQuery parses a request's lone protein.
+func parseQuery(protein string) (*fabp.Query, *requestError) {
+	if strings.TrimSpace(protein) == "" {
+		return nil, badRequest("missing query")
+	}
+	q, err := fabp.NewQuery(protein)
+	if err != nil {
+		return nil, badRequest("invalid query: %v", err)
+	}
+	return q, nil
+}
+
+// parseQueries parses a batch's proteins (1 to -max-batch of them) and
+// counts them on serve.batch.queries; missing is the empty-batch message.
+func (s *server) parseQueries(proteins []string, missing string) ([]*fabp.Query, *requestError) {
+	if len(proteins) == 0 {
+		return nil, badRequest("%s", missing)
+	}
+	if len(proteins) > s.cfg.maxBatch {
+		return nil, badRequest("batch of %d queries exceeds the server's limit of %d", len(proteins), s.cfg.maxBatch)
+	}
+	queries := make([]*fabp.Query, len(proteins))
+	for i, p := range proteins {
+		if strings.TrimSpace(p) == "" {
+			return nil, badRequest("query %d is empty", i)
+		}
+		q, err := fabp.NewQuery(p)
+		if err != nil {
+			return nil, badRequest("invalid query %d: %v", i, err)
+		}
+		queries[i] = q
+	}
+	s.m.batchQueries.Add(uint64(len(queries)))
+	return queries, nil
+}
+
+// timeout resolves a request's timeout_ms: the server's -timeout when
+// unset, capped at -max-timeout.
+func (s *server) timeout(ms int) time.Duration {
+	t := s.cfg.defaultTimeout
+	if ms > 0 {
+		t = time.Duration(ms) * time.Millisecond
+	}
+	return min(t, s.cfg.maxTimeout)
+}
+
+// maxHits resolves a request's max_hits: the server's -max-hits unless the
+// request asks for fewer.
+func (s *server) maxHits(n int) int {
+	if n > 0 && n < s.cfg.maxHits {
+		return n
+	}
+	return s.cfg.maxHits
+}
+
+// ms renders a duration as the wire's fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // retryAfterSeconds rounds a shed hint up to whole seconds for the
 // Retry-After header (minimum 1 — a zero hint is not actionable).
@@ -285,6 +358,58 @@ func retryAfterSeconds(d time.Duration) string {
 		secs = 1
 	}
 	return strconv.Itoa(secs)
+}
+
+// pipeline serves one scan route. It decodes the route's wire form into a
+// ScanRequest, answers from the result cache when it can (a hit takes no
+// admission slot), and otherwise takes the request's weight — K units for
+// K queries, since admission's currency is scan work — under the request
+// deadline, scans, and hands the outcome to respond. serve.latency and
+// elapsed_ms start at arrival, so sheds and queue waits count on every
+// route.
+func (s *server) pipeline(decode func(http.ResponseWriter, *http.Request) (*scanCall, *requestError)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.m.requests.Inc()
+		t0 := time.Now()
+		defer func() { s.m.latency.Observe(time.Since(t0)) }()
+
+		c, rerr := decode(w, r)
+		if rerr != nil {
+			writeError(w, rerr.status, "%s", rerr.msg)
+			return
+		}
+		if res, ok := s.lookup(c.req); ok {
+			s.m.cacheHits.Inc()
+			c.encode(w, res, nil, time.Since(t0))
+			return
+		}
+
+		// The request context roots the scan: a client disconnect cancels
+		// it, the per-request deadline bounds it, and a server drain (see
+		// main) lets it finish before the listener closes. The same deadline
+		// drives admission: infeasible requests are shed as 429, not queued
+		// into a guaranteed 504. Admission is all-or-nothing: the queue
+		// clamps an over-wide batch to full capacity and grants atomically.
+		ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
+		defer cancel()
+		weight := max(len(c.req.Queries), 1)
+		if err := s.adm.Admit(ctx, weight); err != nil {
+			s.writeAdmitError(w, err, c.timeout)
+			return
+		}
+		s.m.inflight.Add(int64(weight))
+		tScan := time.Now()
+		res, err := s.scan(ctx, c.req)
+		observed := time.Since(tScan)
+		if err != nil {
+			// Failed or aborted scans are not representative work; keep
+			// them out of the admission cost estimate.
+			observed = 0
+		}
+		s.adm.Release(weight, observed)
+		s.m.inflight.Add(-int64(weight))
+		s.respond(w, c, res, err, time.Since(t0))
+	}
 }
 
 // writeAdmitError answers a request the admission queue did not grant:
@@ -307,113 +432,90 @@ func (s *server) writeAdmitError(w http.ResponseWriter, err error, timeout time.
 	}
 }
 
-// writeScanResult maps a Scan outcome onto the HTTP surface: clean and
-// degraded results are 200s, the error taxonomy picks the status for the
-// rest (ErrBadQuery/ErrBadOption → 400, deadline → 504, cancel → client
-// gone, anything else → 500).
-func (s *server) writeScanResult(w http.ResponseWriter, q *fabp.Query, res *fabp.ScanResult, err error, timeout time.Duration, t0 time.Time) {
+// respond maps a scan outcome onto the route. A clean result goes to the
+// route's encoder, and so does a degraded one — a 200, not a 5xx: the
+// client asked for exactly that contract. Every other error goes through
+// the one error table, unless a stream already committed its response:
+// then the route's encoder ends the stream with the error.
+func (s *server) respond(w http.ResponseWriter, c *scanCall, res *fabp.ScanResult, err error, elapsed time.Duration) {
 	var pe *fabp.PartialError
 	switch {
 	case err == nil:
+	case c.committed != nil && c.committed():
 	case errors.As(err, &pe) && res != nil:
-		// Degraded completion under partial mode: the hits are real, the
-		// uncovered ranges are declared below. A 200, not a 5xx — the
-		// client asked for exactly this contract.
 		s.m.degraded.Inc()
-	case errors.Is(err, context.DeadlineExceeded):
-		s.m.timeouts.Inc()
-		writeError(w, http.StatusGatewayTimeout,
-			"scan exceeded its %s deadline", timeout)
-		return
-	case errors.Is(err, context.Canceled):
-		// Client went away; nobody is reading the response.
-		s.m.clientGone.Inc()
-		return
-	case errors.Is(err, fabp.ErrBadQuery), errors.Is(err, fabp.ErrBadOption):
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
 	default:
-		s.m.failed.Inc()
-		writeError(w, http.StatusInternalServerError, "scan failed: %v", err)
+		switch s.failure(err) {
+		case http.StatusGatewayTimeout:
+			writeError(w, http.StatusGatewayTimeout, "%s exceeded its %s deadline", c.op, c.timeout)
+		case http.StatusBadRequest:
+			writeError(w, http.StatusBadRequest, "%v", err)
+		case http.StatusInternalServerError:
+			writeError(w, http.StatusInternalServerError, "%s failed: %v", c.op, err)
+		}
 		return
 	}
-
-	hits := make([]alignHit, 0, len(res.RecordHits))
-	for _, h := range res.RecordHits {
-		hits = append(hits, alignHit{
-			Record:      h.RecordID,
-			RecordIndex: h.RecordIndex,
-			Offset:      h.Offset,
-			Score:       h.Score,
-		})
-	}
-	resp := alignResponse{
-		Residues:  q.Residues(),
-		Elements:  q.Elements(),
-		Threshold: res.Threshold,
-		MaxScore:  q.MaxScore(),
-		Hits:      hits,
-		Truncated: res.Truncated,
-		Cache:     string(res.Cache),
-		ElapsedMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
-	}
-	if res.Degraded {
-		resp.Degraded = true
-		resp.FailedRanges = make([]failedRange, len(res.FailedRanges))
-		for i, fr := range res.FailedRanges {
-			resp.FailedRanges[i] = failedRange{Lo: fr.Lo, Hi: fr.Hi, Error: fr.Err.Error()}
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	c.encode(w, res, err, elapsed)
 }
 
-func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.Inc()
-	t0 := time.Now()
-	defer func() { s.m.latency.Observe(time.Since(t0)) }()
+// failure is the pipeline's one error table: it counts a failed scan and
+// picks its status — 504 for the deadline, 400 for the request's own
+// fault (ErrBadQuery, ErrBadOption), 500 for anything else, and 0 for a
+// client that went away (nobody is reading the response).
+func (s *server) failure(err error) int {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.m.timeouts.Inc()
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		s.m.clientGone.Inc()
+		return 0
+	case errors.Is(err, fabp.ErrBadQuery), errors.Is(err, fabp.ErrBadOption):
+		return http.StatusBadRequest
+	}
+	s.m.failed.Inc()
+	return http.StatusInternalServerError
+}
 
+// alignHits renders attributed hits for the wire (never null).
+func alignHits(hits []fabp.RecordHit) []alignHit {
+	out := make([]alignHit, len(hits))
+	for i, h := range hits {
+		out[i] = alignHit{Record: h.RecordID, RecordIndex: h.RecordIndex, Offset: h.Offset, Score: h.Score}
+	}
+	return out
+}
+
+// decodeAlign decodes POST /align: one protein against the resident
+// database.
+func (s *server) decodeAlign(w http.ResponseWriter, r *http.Request) (*scanCall, *requestError) {
 	var req alignRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	if rerr := s.decodeBody(w, r, &req); rerr != nil {
+		return nil, rerr
 	}
-	if strings.TrimSpace(req.Query) == "" {
-		writeError(w, http.StatusBadRequest, "missing query")
-		return
-	}
-	q, err := fabp.NewQuery(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid query: %v", err)
-		return
+	q, rerr := parseQuery(req.Query)
+	if rerr != nil {
+		return nil, rerr
 	}
 	kernel := fabp.KernelAuto
 	if req.Kernel != "" {
-		kernel, err = fabp.ParseKernel(req.Kernel)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+		var err error
+		if kernel, err = fabp.ParseKernel(req.Kernel); err != nil {
+			return nil, badRequest("%v", err)
 		}
 	}
 	rp := s.cfg.retryPolicy
 	if req.RetryBudget != nil {
-		budget := *req.RetryBudget
-		if budget < 0 {
-			writeError(w, http.StatusBadRequest, "negative retry_budget %d", budget)
-			return
+		if *req.RetryBudget < 0 {
+			return nil, badRequest("negative retry_budget %d", *req.RetryBudget)
 		}
-		if budget > serverMaxRetryBudget {
-			budget = serverMaxRetryBudget
-		}
-		rp.MaxRetries = budget
-	}
-	maxHits := s.cfg.maxHits
-	if req.MaxHits > 0 && req.MaxHits < maxHits {
-		maxHits = req.MaxHits
+		rp.MaxRetries = min(*req.RetryBudget, serverMaxRetryBudget)
 	}
 	sreq := fabp.ScanRequest{
 		Query:       q,
 		Database:    s.cfg.db,
 		Kernel:      kernel,
-		MaxHits:     maxHits,
+		MaxHits:     s.maxHits(req.MaxHits),
 		RetryPolicy: rp,
 		Partial:     req.Partial,
 	}
@@ -423,46 +525,27 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	case req.ThresholdFrac != nil:
 		sreq.ThresholdFrac = *req.ThresholdFrac
 	}
-
-	timeout := s.cfg.defaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.maxTimeout {
-		timeout = s.cfg.maxTimeout
-	}
-
-	// Cache fast path: a resident result answers immediately, without an
-	// admission slot — repeats cost a map lookup, not queue position.
-	if res, ok := s.lookup(sreq); ok {
-		s.m.cacheHits.Inc()
-		s.writeScanResult(w, q, res, nil, timeout, t0)
-		return
-	}
-
-	// The request context roots the scan: a client disconnect cancels it,
-	// the per-request deadline bounds it, and a server drain (see main)
-	// lets it finish before the listener closes. The same deadline drives
-	// admission: infeasible requests are shed as 429, not queued into a
-	// guaranteed 504.
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	if err := s.adm.Admit(ctx, 1); err != nil {
-		s.writeAdmitError(w, err, timeout)
-		return
-	}
-	s.m.inflight.Add(1)
-	tScan := time.Now()
-	res, err := s.scan(ctx, sreq)
-	observed := time.Since(tScan)
-	if err != nil {
-		// Failed or aborted scans are not representative work; keep them
-		// out of the admission cost estimate.
-		observed = 0
-	}
-	s.adm.Release(1, observed)
-	s.m.inflight.Add(-1)
-	s.writeScanResult(w, q, res, err, timeout, t0)
+	return &scanCall{req: sreq, timeout: s.timeout(req.TimeoutMs), op: "scan",
+		encode: func(w http.ResponseWriter, res *fabp.ScanResult, _ error, elapsed time.Duration) {
+			resp := alignResponse{
+				Residues:  q.Residues(),
+				Elements:  q.Elements(),
+				Threshold: res.Threshold,
+				MaxScore:  q.MaxScore(),
+				Hits:      alignHits(res.RecordHits),
+				Truncated: res.Truncated,
+				Cache:     string(res.Cache),
+				ElapsedMs: ms(elapsed),
+			}
+			if res.Degraded {
+				resp.Degraded = true
+				resp.FailedRanges = make([]failedRange, len(res.FailedRanges))
+				for i, fr := range res.FailedRanges {
+					resp.FailedRanges[i] = failedRange{Lo: fr.Lo, Hi: fr.Hi, Error: fr.Err.Error()}
+				}
+			}
+			writeJSON(w, http.StatusOK, resp)
+		}}, nil
 }
 
 // searchRequest is the /search request body: a TBLASTN-style protein
@@ -519,28 +602,19 @@ type searchResponse struct {
 	Stats     *searchStats `json:"stats,omitempty"`
 }
 
-// handleSearch serves POST /search: a protein query against all (or the
-// forward) translated frames of the resident database, riding the same
-// spine as /align — cache fast path before admission, one weighted slot
-// while scanning, the per-request deadline shared between queue and scan.
-func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.Inc()
+// decodeSearch decodes POST /search: a protein query against all (or the
+// forward) translated frames of the resident database. Thread count is
+// not part of the protein cache key, so any earlier identical search
+// answers from the cache.
+func (s *server) decodeSearch(w http.ResponseWriter, r *http.Request) (*scanCall, *requestError) {
 	s.m.searchRequests.Inc()
-	t0 := time.Now()
-	defer func() { s.m.latency.Observe(time.Since(t0)) }()
-
 	var req searchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	if rerr := s.decodeBody(w, r, &req); rerr != nil {
+		return nil, rerr
 	}
-	if strings.TrimSpace(req.Query) == "" {
-		writeError(w, http.StatusBadRequest, "missing query")
-		return
-	}
-	q, err := fabp.NewQuery(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid query: %v", err)
-		return
+	q, rerr := parseQuery(req.Query)
+	if rerr != nil {
+		return nil, rerr
 	}
 	opts := fabp.ProteinSearchOptions{
 		Threads:   runtime.GOMAXPROCS(0),
@@ -551,110 +625,43 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if req.MinScore != nil {
 		// The wire contract is simpler than the library's: any explicit
 		// non-positive min_score means "keep every HSP".
+		opts.MinScore = *req.MinScore
 		if *req.MinScore <= 0 {
 			opts.MinScore = fabp.MinScoreAll
-		} else {
-			opts.MinScore = *req.MinScore
 		}
 	}
-	maxHits := s.cfg.maxHits
-	if req.MaxHits > 0 && req.MaxHits < maxHits {
-		maxHits = req.MaxHits
-	}
-	sreq := fabp.ScanRequest{
-		Query:         q,
-		Database:      s.cfg.db,
-		MaxHits:       maxHits,
-		ProteinSearch: &opts,
-	}
-
-	timeout := s.cfg.defaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.maxTimeout {
-		timeout = s.cfg.maxTimeout
-	}
-
-	// Cache fast path: a resident result answers without an admission
-	// slot. Thread count is not part of the protein cache key, so any
-	// earlier identical search serves this one.
-	if res, ok := s.lookup(sreq); ok {
-		s.m.cacheHits.Inc()
-		s.writeSearchResult(w, q, res, nil, timeout, t0)
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	if err := s.adm.Admit(ctx, 1); err != nil {
-		s.writeAdmitError(w, err, timeout)
-		return
-	}
-	s.m.inflight.Add(1)
-	tScan := time.Now()
-	res, err := s.scan(ctx, sreq)
-	observed := time.Since(tScan)
-	if err != nil {
-		observed = 0
-	}
-	s.adm.Release(1, observed)
-	s.m.inflight.Add(-1)
-	s.writeSearchResult(w, q, res, err, timeout, t0)
-}
-
-// writeSearchResult maps a protein-search outcome onto the HTTP surface
-// with the same error taxonomy as /align (deadline → 504, cancel →
-// client gone, bad input → 400, the rest → 500).
-func (s *server) writeSearchResult(w http.ResponseWriter, q *fabp.Query, res *fabp.ScanResult, err error, timeout time.Duration, t0 time.Time) {
-	switch {
-	case err == nil:
-	case errors.Is(err, context.DeadlineExceeded):
-		s.m.timeouts.Inc()
-		writeError(w, http.StatusGatewayTimeout,
-			"search exceeded its %s deadline", timeout)
-		return
-	case errors.Is(err, context.Canceled):
-		// Client went away; nobody is reading the response.
-		s.m.clientGone.Inc()
-		return
-	case errors.Is(err, fabp.ErrBadQuery), errors.Is(err, fabp.ErrBadOption):
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	default:
-		s.m.failed.Inc()
-		writeError(w, http.StatusInternalServerError, "search failed: %v", err)
-		return
-	}
-
-	hsps := make([]searchHSP, len(res.HSPs))
-	for i, h := range res.HSPs {
-		hsps[i] = searchHSP{
-			Frame:  h.Frame,
-			QStart: h.QStart, QEnd: h.QEnd,
-			SStart: h.SStart, SEnd: h.SEnd,
-			NucPos:   h.NucPos,
-			Score:    h.Score,
-			BitScore: h.BitScore,
-			EValue:   h.EValue,
-		}
-	}
-	resp := searchResponse{
-		Residues:  q.Residues(),
-		HSPs:      hsps,
-		Truncated: res.Truncated,
-		Cache:     string(res.Cache),
-		ElapsedMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
-	}
-	if st := res.ProteinStats; st != nil {
-		resp.Stats = &searchStats{
-			IndexEntries: st.IndexEntries,
-			WordLookups:  st.WordLookups,
-			WordHits:     st.WordHits,
-			Extensions:   st.Extensions,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	sreq := fabp.ScanRequest{Query: q, Database: s.cfg.db, MaxHits: s.maxHits(req.MaxHits), ProteinSearch: &opts}
+	return &scanCall{req: sreq, timeout: s.timeout(req.TimeoutMs), op: "search",
+		encode: func(w http.ResponseWriter, res *fabp.ScanResult, _ error, elapsed time.Duration) {
+			hsps := make([]searchHSP, len(res.HSPs))
+			for i, h := range res.HSPs {
+				hsps[i] = searchHSP{
+					Frame:  h.Frame,
+					QStart: h.QStart, QEnd: h.QEnd,
+					SStart: h.SStart, SEnd: h.SEnd,
+					NucPos:   h.NucPos,
+					Score:    h.Score,
+					BitScore: h.BitScore,
+					EValue:   h.EValue,
+				}
+			}
+			resp := searchResponse{
+				Residues:  q.Residues(),
+				HSPs:      hsps,
+				Truncated: res.Truncated,
+				Cache:     string(res.Cache),
+				ElapsedMs: ms(elapsed),
+			}
+			if st := res.ProteinStats; st != nil {
+				resp.Stats = &searchStats{
+					IndexEntries: st.IndexEntries,
+					WordLookups:  st.WordLookups,
+					WordHits:     st.WordHits,
+					Extensions:   st.Extensions,
+				}
+			}
+			writeJSON(w, http.StatusOK, resp)
+		}}, nil
 }
 
 // batchAlignRequest is the /align/batch request body: one fused scan of
@@ -691,126 +698,49 @@ type batchAlignResponse struct {
 	ElapsedMs float64            `json:"elapsed_ms"`
 }
 
-// handleAlignBatch serves POST /align/batch: the whole batch scans the
+// decodeBatch decodes POST /align/batch: the whole batch scans the
 // resident database in one fused pass (each reference tile read once for
-// every query). The body is parsed before admission so the request's
-// weight is known up front: a K-query batch asks the admission queue for
-// K units atomically — the admission currency is scan work, not request
-// count, so a batch can't slip K queries' worth of load past a limit
-// tuned for single scans. Batches that don't fit are shed with 429 (or
-// queued whole when -max-queue allows); fused results stay uncached —
-// the batch, not the query, is the unit of work here.
-func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.Inc()
+// every query) and weighs K admission units, so a batch can't slip K
+// queries' worth of load past a limit tuned for single scans. Batches
+// bypass the result cache — the batch, not the query, is the unit of work
+// here.
+func (s *server) decodeBatch(w http.ResponseWriter, r *http.Request) (*scanCall, *requestError) {
 	s.m.batchRequests.Inc()
-
 	var req batchAlignRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	if rerr := s.decodeBody(w, r, &req); rerr != nil {
+		return nil, rerr
 	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch: queries is required")
-		return
+	queries, rerr := s.parseQueries(req.Queries, "empty batch: queries is required")
+	if rerr != nil {
+		return nil, rerr
 	}
-	if len(req.Queries) > s.cfg.maxBatch {
-		writeError(w, http.StatusBadRequest,
-			"batch of %d queries exceeds the server's limit of %d", len(req.Queries), s.cfg.maxBatch)
-		return
+	sreq := fabp.ScanRequest{
+		Queries:     queries,
+		Database:    s.cfg.db,
+		MaxHits:     s.maxHits(req.MaxHits),
+		RetryPolicy: s.cfg.retryPolicy,
 	}
-	queries := make([]*fabp.Query, len(req.Queries))
-	for i, qs := range req.Queries {
-		if strings.TrimSpace(qs) == "" {
-			writeError(w, http.StatusBadRequest, "query %d is empty", i)
-			return
-		}
-		q, err := fabp.NewQuery(qs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid query %d: %v", i, err)
-			return
-		}
-		queries[i] = q
-	}
-	frac := 0.8
 	if req.ThresholdFrac != nil {
-		frac = *req.ThresholdFrac
+		sreq.ThresholdFrac = *req.ThresholdFrac
 	}
-	s.m.batchQueries.Add(uint64(len(queries)))
-
-	timeout := s.cfg.defaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.maxTimeout {
-		timeout = s.cfg.maxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	// All-or-nothing weighted admission: the queue clamps an over-wide
-	// batch to full capacity ("everything") and grants atomically.
-	weight := len(queries)
-	if err := s.adm.Admit(ctx, weight); err != nil {
-		s.writeAdmitError(w, err, timeout)
-		return
-	}
-	s.m.inflight.Add(int64(weight))
-	t0 := time.Now()
-	defer func() { s.m.latency.Observe(time.Since(t0)) }()
-
-	maxHits := s.cfg.maxHits
-	if req.MaxHits > 0 && req.MaxHits < maxHits {
-		maxHits = req.MaxHits
-	}
-
-	perQuery, err := s.scanBatch(ctx, s.cfg.db, queries, frac)
-	observed := time.Since(t0)
-	if err != nil {
-		observed = 0
-	}
-	s.adm.Release(weight, observed)
-	s.m.inflight.Add(-int64(weight))
-	switch {
-	case err == nil:
-	case errors.Is(err, context.DeadlineExceeded):
-		s.m.timeouts.Inc()
-		writeError(w, http.StatusGatewayTimeout,
-			"batch scan exceeded its %s deadline", timeout)
-		return
-	case errors.Is(err, context.Canceled):
-		// Client went away; nobody is reading the response.
-		s.m.clientGone.Inc()
-		return
-	case errors.Is(err, fabp.ErrBadQuery), errors.Is(err, fabp.ErrBadOption):
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	default:
-		s.m.failed.Inc()
-		writeError(w, http.StatusInternalServerError, "batch scan failed: %v", err)
-		return
-	}
-
-	resp := batchAlignResponse{Queries: make([]batchQueryResult, len(queries))}
-	for i, hits := range perQuery {
-		qr := &resp.Queries[i]
-		qr.Residues = queries[i].Residues()
-		qr.Elements = queries[i].Elements()
-		qr.MaxScore = queries[i].MaxScore()
-		if len(hits) > maxHits {
-			hits = hits[:maxHits]
-			qr.Truncated = true
-		}
-		qr.Hits = make([]alignHit, len(hits))
-		for j, h := range hits {
-			qr.Hits[j] = alignHit{
-				Record:      h.RecordID,
-				RecordIndex: h.RecordIndex,
-				Offset:      h.Offset,
-				Score:       h.Score,
+	return &scanCall{req: sreq, timeout: s.timeout(req.TimeoutMs), op: "batch scan",
+		encode: func(w http.ResponseWriter, res *fabp.ScanResult, _ error, elapsed time.Duration) {
+			resp := batchAlignResponse{Queries: make([]batchQueryResult, len(queries)), ElapsedMs: ms(elapsed)}
+			for i, q := range queries {
+				var qr fabp.QueryResult
+				if i < len(res.PerQuery) {
+					qr = res.PerQuery[i]
+				}
+				resp.Queries[i] = batchQueryResult{
+					Residues:  q.Residues(),
+					Elements:  q.Elements(),
+					MaxScore:  q.MaxScore(),
+					Hits:      alignHits(qr.RecordHits),
+					Truncated: qr.Truncated,
+				}
 			}
-		}
-	}
-	resp.ElapsedMs = float64(time.Since(t0).Nanoseconds()) / 1e6
-	writeJSON(w, http.StatusOK, resp)
+			writeJSON(w, http.StatusOK, resp)
+		}}, nil
 }
 
 // streamHit is one NDJSON hit line of the /align/stream response: the
@@ -833,7 +763,33 @@ type streamTrailer struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// handleAlignStream serves POST /align/stream: the request body is a raw
+// ndjsonStream writes the /align/stream response as the scan emits hits:
+// one NDJSON line per hit, flushed at once — the first commits the 200 —
+// then one trailer line.
+type ndjsonStream struct {
+	w     http.ResponseWriter
+	enc   *json.Encoder
+	hits  int
+	wrote bool
+}
+
+// hit is the scan's Emit: it writes one hit line.
+func (st *ndjsonStream) hit(qi int, h fabp.Hit) error {
+	if !st.wrote {
+		st.w.Header().Set("Content-Type", "application/x-ndjson")
+		st.wrote = true
+	}
+	st.hits++
+	if err := st.enc.Encode(streamHit{Query: qi, Pos: h.Pos, Score: h.Score}); err != nil {
+		return err
+	}
+	if f, ok := st.w.(http.Flusher); ok {
+		f.Flush()
+	}
+	return nil
+}
+
+// decodeStream decodes POST /align/stream: the request body is a raw
 // nucleotide stream (letters, whitespace tolerated, unbounded length) and
 // the query parameters name K proteins; the server packs each chunk of the
 // body into bit-planes once and the fused batch kernel scores all K
@@ -845,148 +801,61 @@ type streamTrailer struct {
 // database. Errors after the first hit line surface in the trailer (the
 // status line is already committed); earlier errors use the normal JSON
 // error surface.
-func (s *server) handleAlignStream(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.Inc()
+func (s *server) decodeStream(w http.ResponseWriter, r *http.Request) (*scanCall, *requestError) {
 	s.m.streamRequests.Inc()
-
 	params := r.URL.Query()
-	protStrs := params["query"]
-	if len(protStrs) == 0 {
-		writeError(w, http.StatusBadRequest, "missing query parameters")
-		return
+	queries, rerr := s.parseQueries(params["query"], "missing query parameters")
+	if rerr != nil {
+		return nil, rerr
 	}
-	if len(protStrs) > s.cfg.maxBatch {
-		writeError(w, http.StatusBadRequest,
-			"batch of %d queries exceeds the server's limit of %d", len(protStrs), s.cfg.maxBatch)
-		return
-	}
-	queries := make([]*fabp.Query, len(protStrs))
-	for i, qs := range protStrs {
-		if strings.TrimSpace(qs) == "" {
-			writeError(w, http.StatusBadRequest, "query %d is empty", i)
-			return
-		}
-		q, err := fabp.NewQuery(qs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid query %d: %v", i, err)
-			return
-		}
-		queries[i] = q
-	}
-	frac := 0.8
+	var frac float64
 	if v := params.Get("threshold_frac"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad threshold_frac: %v", err)
-			return
+			return nil, badRequest("bad threshold_frac: %v", err)
 		}
 		frac = f
 	}
-	maxHits := s.cfg.maxHits
-	if v := params.Get("max_hits"); v != "" {
-		mh, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad max_hits: %v", err)
-			return
-		}
-		if mh > 0 && mh < maxHits {
-			maxHits = mh
-		}
-	}
-	timeout := s.cfg.defaultTimeout
-	if v := params.Get("timeout_ms"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad timeout_ms: %v", err)
-			return
-		}
-		if ms > 0 {
-			timeout = time.Duration(ms) * time.Millisecond
+	var maxHits, timeoutMs int
+	for _, p := range []struct {
+		name string
+		dst  *int
+	}{{"max_hits", &maxHits}, {"timeout_ms", &timeoutMs}} {
+		if v := params.Get(p.name); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return nil, badRequest("bad %s: %v", p.name, err)
+			}
+			*p.dst = n
 		}
 	}
-	if timeout > s.cfg.maxTimeout {
-		timeout = s.cfg.maxTimeout
+	st := &ndjsonStream{w: w, enc: json.NewEncoder(w)}
+	sreq := fabp.ScanRequest{
+		Queries:       queries,
+		Stream:        r.Body,
+		Emit:          st.hit,
+		ThresholdFrac: frac,
+		MaxHits:       s.maxHits(maxHits),
+		RetryPolicy:   s.cfg.retryPolicy,
 	}
-	s.m.batchQueries.Add(uint64(len(queries)))
-
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	weight := len(queries)
-	if err := s.adm.Admit(ctx, weight); err != nil {
-		s.writeAdmitError(w, err, timeout)
-		return
-	}
-	s.m.inflight.Add(int64(weight))
-	t0 := time.Now()
-	defer func() { s.m.latency.Observe(time.Since(t0)) }()
-
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	counts := make([]int, len(queries))
-	total, wrote, truncated := 0, false, false
-	err := s.streamBatch(ctx, queries, r.Body, frac, func(qi int, h fabp.Hit) error {
-		if counts[qi] >= maxHits {
-			truncated = true
-			return nil
-		}
-		counts[qi]++
-		total++
-		if !wrote {
-			// First hit commits the streaming response.
+	return &scanCall{req: sreq, timeout: s.timeout(timeoutMs), op: "stream scan",
+		committed: func() bool { return st.wrote },
+		encode: func(w http.ResponseWriter, res *fabp.ScanResult, err error, elapsed time.Duration) {
+			trailer := streamTrailer{
+				Done:      err == nil,
+				Hits:      st.hits,
+				Truncated: res != nil && res.Truncated,
+				ElapsedMs: ms(elapsed),
+			}
+			if err != nil {
+				if s.failure(err) == 0 {
+					return // nobody is reading; skip the trailer
+				}
+				trailer.Error = err.Error()
+			}
 			w.Header().Set("Content-Type", "application/x-ndjson")
-			wrote = true
-		}
-		if eerr := enc.Encode(streamHit{Query: qi, Pos: h.Pos, Score: h.Score}); eerr != nil {
-			return eerr
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
-	observed := time.Since(t0)
-	if err != nil {
-		observed = 0
-	}
-	s.adm.Release(weight, observed)
-	s.m.inflight.Add(-int64(weight))
-
-	if err != nil && !wrote {
-		// Nothing streamed yet: the full JSON error surface is still open.
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.m.timeouts.Inc()
-			writeError(w, http.StatusGatewayTimeout, "stream scan exceeded its %s deadline", timeout)
-		case errors.Is(err, context.Canceled):
-			s.m.clientGone.Inc()
-		default:
-			// Stream scans fail on what the client sent — a bad byte in the
-			// stream, a bad fraction — so the error is the client's to fix.
-			s.m.failed.Inc()
-			writeError(w, http.StatusBadRequest, "stream scan failed: %v", err)
-		}
-		return
-	}
-	trailer := streamTrailer{
-		Done:      err == nil,
-		Hits:      total,
-		Truncated: truncated,
-		ElapsedMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			s.m.clientGone.Inc()
-			return // nobody is reading; skip the trailer
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.m.timeouts.Inc()
-		} else {
-			s.m.failed.Inc()
-		}
-		trailer.Error = err.Error()
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = enc.Encode(trailer)
+			_ = st.enc.Encode(trailer)
+		}}, nil
 }
 
 // healthzResponse is the /healthz body: liveness plus the shape of the

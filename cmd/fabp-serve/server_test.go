@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -268,10 +269,10 @@ func TestAlignBatchValidation(t *testing.T) {
 func TestAlignBatchAdmissionWeight(t *testing.T) {
 	s, protein := testServer(t, serverConfig{maxInflight: 3, maxBatch: 8})
 	blocked := make(chan struct{})
-	s.scanBatch = func(ctx context.Context, d *fabp.Database, queries []*fabp.Query, frac float64) ([][]fabp.RecordHit, error) {
+	s.scan = func(ctx context.Context, req fabp.ScanRequest) (*fabp.ScanResult, error) {
 		select {
 		case <-blocked:
-			return make([][]fabp.RecordHit, len(queries)), nil
+			return &fabp.ScanResult{PerQuery: make([]fabp.QueryResult, len(req.Queries))}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -524,10 +525,10 @@ func TestBatchAdmissionShedStorm(t *testing.T) {
 	const capacity = 4
 	s, protein := testServer(t, serverConfig{maxInflight: capacity, maxBatch: capacity})
 	blocked := make(chan struct{})
-	s.scanBatch = func(ctx context.Context, d *fabp.Database, queries []*fabp.Query, frac float64) ([][]fabp.RecordHit, error) {
+	s.scan = func(ctx context.Context, req fabp.ScanRequest) (*fabp.ScanResult, error) {
 		select {
 		case <-blocked:
-			return make([][]fabp.RecordHit, len(queries)), nil
+			return &fabp.ScanResult{PerQuery: make([]fabp.QueryResult, len(req.Queries))}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -1310,5 +1311,154 @@ func TestSlowHeaderClosed(t *testing.T) {
 	}
 	if waited := time.Since(t0); waited < headerTimeout/2 {
 		t.Fatalf("connection closed after %v, before the %v header timeout", waited, headerTimeout)
+	}
+}
+
+// TestAlignStreamServerFailure500: a stream scan that fails on the
+// server's side before its first hit line answers 500 and counts on
+// serve.failed, like /align and /align/batch; a bad byte stays a 400
+// (TestAlignStreamValidation).
+func TestAlignStreamServerFailure500(t *testing.T) {
+	s, protein := testServer(t, serverConfig{maxInflight: 2})
+	s.scan = func(ctx context.Context, req fabp.ScanRequest) (*fabp.ScanResult, error) {
+		return nil, errors.New("fabp: shard [0,64): worker lost")
+	}
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	failed := s.m.failed.Load()
+	resp, err := http.Post(ts.URL+"/align/stream?query="+protein, "text/plain", strings.NewReader("ACGU"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("stream server failure: status %d (%s), want 500", resp.StatusCode, body)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, "worker lost") {
+		t.Errorf("error body %s does not carry the failure", body)
+	}
+	if s.m.failed.Load() != failed+1 {
+		t.Errorf("serve.failed %d -> %d, want one stream failure", failed, s.m.failed.Load())
+	}
+}
+
+// TestServeLatencyFromArrival: every route's clock starts at arrival — a
+// batch shed with 429 is observed on serve.latency, and a queued batch's
+// elapsed_ms includes its wait for a slot.
+func TestServeLatencyFromArrival(t *testing.T) {
+	s, protein := testServer(t, serverConfig{maxInflight: 1, maxQueue: 1})
+	release := blockScan(s)
+	defer release()
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	// A single align parks the only slot.
+	holder := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(alignRequest{Query: protein})
+		resp, err := http.Post(ts.URL+"/align", "application/json", bytes.NewReader(body))
+		if err != nil {
+			holder <- -1
+			return
+		}
+		defer resp.Body.Close()
+		holder <- resp.StatusCode
+	}()
+	waitFor(t, func() bool { return s.adm.Held() == 1 }, "holder slot")
+
+	// One batch queues behind it...
+	type result struct {
+		status int
+		body   []byte
+	}
+	queued := make(chan result, 1)
+	go func() {
+		body, _ := json.Marshal(batchAlignRequest{Queries: []string{protein}})
+		resp, err := http.Post(ts.URL+"/align/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			queued <- result{status: -1}
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		queued <- result{resp.StatusCode, b}
+	}()
+	waitFor(t, func() bool { return s.adm.QueueDepth() == 1 }, "queued batch")
+
+	// ...and the next finds the queue full: shed, and still observed.
+	observed := s.m.latency.Count()
+	resp, body := postBatch(t, ts.URL, batchAlignRequest{Queries: []string{protein}})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("queue-full batch: status %d (%s), want 429", resp.StatusCode, body)
+	}
+	if got := s.m.latency.Count(); got != observed+1 {
+		t.Errorf("serve.latency observations %d -> %d; the shed batch was not observed", observed, got)
+	}
+
+	const wait = 100 * time.Millisecond
+	time.Sleep(wait)
+	release()
+	if code := <-holder; code != http.StatusOK {
+		t.Fatalf("holder finished %d, want 200", code)
+	}
+	r := <-queued
+	if r.status != http.StatusOK {
+		t.Fatalf("queued batch finished %d (%s), want 200", r.status, r.body)
+	}
+	var br batchAlignResponse
+	if err := json.Unmarshal(r.body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if br.ElapsedMs < float64(wait.Milliseconds()) {
+		t.Errorf("queued batch elapsed_ms %.1f, want at least its %v queue wait", br.ElapsedMs, wait)
+	}
+}
+
+// TestRetryPolicyReachesEveryRoute: the server's retry flags reach batch
+// and stream scans on the request itself, not through a process-wide
+// setting.
+func TestRetryPolicyReachesEveryRoute(t *testing.T) {
+	rp := fabp.RetryPolicy{MaxRetries: 3, Base: 2 * time.Millisecond, HedgeAfter: 50 * time.Millisecond, HedgeBudget: 2}
+	s, protein := testServer(t, serverConfig{maxInflight: 4, retryPolicy: rp})
+	seen := make(chan fabp.RetryPolicy, 2)
+	s.scan = func(ctx context.Context, req fabp.ScanRequest) (*fabp.ScanResult, error) {
+		seen <- req.RetryPolicy
+		return &fabp.ScanResult{PerQuery: make([]fabp.QueryResult, len(req.Queries))}, nil
+	}
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	if resp, body := postBatch(t, ts.URL, batchAlignRequest{Queries: []string{protein}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+	if got := <-seen; got != rp {
+		t.Errorf("batch scan policy %+v, want %+v", got, rp)
+	}
+	resp, err := http.Post(ts.URL+"/align/stream?query="+protein, "text/plain", strings.NewReader("ACGU"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+	if got := <-seen; got != rp {
+		t.Errorf("stream scan policy %+v, want %+v", got, rp)
+	}
+}
+
+// waitFor polls cond until it holds, failing after 5s with what never
+// happened.
+func waitFor(t *testing.T, cond func() bool, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -32,8 +32,6 @@ func TestSoakMixedTrafficUnderShardStalls(t *testing.T) {
 	}
 	db.WarmPlanes()
 	rp := fabp.RetryPolicy{MaxRetries: 2, Base: 100 * time.Microsecond}
-	fabp.SetBatchRetryPolicy(rp)
-	defer fabp.SetBatchRetryPolicy(fabp.RetryPolicy{})
 	s := newServer(serverConfig{
 		db:             db,
 		maxInflight:    8,

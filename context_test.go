@@ -395,13 +395,13 @@ func TestAlignDatabaseBatchContextCancelMidScan(t *testing.T) {
 		canceledAt <- time.Now()
 	}()
 
-	out, err := fabp.AlignDatabaseBatchContext(ctx, dbase, queries, 0.85)
+	out, err := fabp.Scan(ctx, fabp.ScanRequest{Queries: queries, Database: dbase, ThresholdFrac: 0.85})
 	returned := time.Now()
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("AlignDatabaseBatchContext = %v, want context.Canceled", err)
+		t.Fatalf("batch Scan = %v, want context.Canceled", err)
 	}
 	if out != nil {
-		t.Errorf("canceled batch returned %d hit lists, want nil", len(out))
+		t.Errorf("canceled batch returned %d hit lists, want nil", len(out.PerQuery))
 	}
 	if d := returned.Sub(<-canceledAt); d > 2*time.Second {
 		t.Errorf("cancel-to-return latency %v, want one shard boundary", d)

@@ -264,66 +264,6 @@ func planesForReference(ref *Reference) *bitpar.Planes {
 	})
 }
 
-// targetScan builds this aligner's K=1 shard scan over one target of n
-// nucleotides — every shard reads one shared representation, so each
-// gets its shardLen + Lq−1 overlap for free. The default is the fused
-// kernel over the target's packed planes; KernelScalar, the oracle
-// selection, scores with the scalar engine over one context array built
-// from seq instead.
-// starts is 0 when the target is shorter than the query.
-func (a *Aligner) targetScan(n int, planes func() *bitpar.Planes, seq func() bio.NucSeq) (scan shardScan, starts int) {
-	starts = n - a.query.Elements() + 1
-	if starts <= 0 {
-		return nil, 0
-	}
-	if a.mode == KernelScalar {
-		a.tm.kernelScalar.Inc()
-		ctxs := core.Contexts(seq())
-		return func(lo, hi int, _ [][]core.Hit) [][]core.Hit {
-			return [][]core.Hit{a.engine.AlignContexts(ctxs, lo, hi)}
-		}, starts
-	}
-	a.tm.kernelBitpar.Inc()
-	a.tm.planeLookups.Inc()
-	pp := planes()
-	return func(lo, hi int, dst [][]core.Hit) [][]core.Hit {
-		return a.bk.AlignPlanesRange(pp, lo, hi, dst)
-	}, starts
-}
-
-// databaseScan is targetScan over a database's cached planes.
-func (a *Aligner) databaseScan(d *Database) (scan shardScan, starts int) {
-	return a.targetScan(d.Len(), d.planes, d.d.Seq)
-}
-
-// referenceScan is targetScan over a standalone reference's cached planes.
-func (a *Aligner) referenceScan(ref *Reference) (scan shardScan, starts int) {
-	return a.targetScan(ref.Len(),
-		func() *bitpar.Planes { return planesForReference(ref) },
-		func() bio.NucSeq { return ref.seq })
-}
-
-// runScan gathers a built shard scan (nil for a target shorter than the
-// query) over the aligner's shard plan and sorts its outcome: hits plus a
-// *PartialError on degraded completion, or a failure — recorded on the
-// cancel/deadline counters — as err. Cancellation is checked between
-// shards: a canceled or deadlined scan returns ctx.Err() after at most
-// the shards already executing finish.
-func (a *Aligner) runScan(ctx context.Context, scan shardScan, starts int) (raw []core.Hit, perr, err error) {
-	if scan == nil {
-		return nil, nil, nil
-	}
-	hits, err := a.newShardRun(scan).run(ctx, sched.Plan(starts, a.shardLen))
-	if _, ok := asPartial(err); ok {
-		return hits[0], err, nil
-	}
-	if err != nil {
-		a.tm.recordCtxErr(err)
-		return nil, nil, err
-	}
-	return hits[0], nil, nil
-}
-
 // AlignDatabase scans the whole database and attributes hits to records,
 // dropping windows that span record boundaries (concatenation artifacts).
 // The scan is tiled into shards executed on the aligner's worker pool and
@@ -346,33 +286,13 @@ func (a *Aligner) AlignDatabase(d *Database) []RecordHit {
 // shares the cache- and singleflight-aware spine with Scan: repeats are
 // answered from memory and concurrent identical scans collapse into one.
 func (a *Aligner) AlignDatabaseContext(ctx context.Context, d *Database) ([]RecordHit, error) {
-	res, _, err := a.cachedDatabaseScan(ctx, d)
+	p := a.p
+	p.database = d
+	res, err := p.run(ctx)
 	if res == nil {
 		return nil, err
 	}
 	return res.RecordHits, err
-}
-
-// executeDatabaseScan is the uncached database scan — the historical
-// AlignDatabaseContext body, producing a *ScanResult. Every telemetry
-// update lives here, so cached and collapsed calls observably run zero
-// scans.
-func (a *Aligner) executeDatabaseScan(ctx context.Context, d *Database) (*ScanResult, error) {
-	a.tm.queries.Inc()
-	t0 := time.Now()
-	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	if err := ctx.Err(); err != nil {
-		a.tm.recordCtxErr(err)
-		return nil, err
-	}
-	scan, starts := a.databaseScan(d)
-	raw, perr, err := a.runScan(ctx, scan, starts)
-	if err != nil {
-		return nil, err
-	}
-	hits := toRecordHits(d.d.Attribute(raw, a.query.Elements()))
-	a.tm.hits.Add(uint64(len(hits)))
-	return a.newScanResult(nil, hits, perr), perr
 }
 
 // AlignDatabaseStream scans the database shard by shard and delivers
@@ -401,21 +321,18 @@ func (a *Aligner) AlignDatabaseStreamContext(ctx context.Context, d *Database, e
 		a.tm.recordCtxErr(err)
 		return err
 	}
-	scan, starts := a.databaseScan(d)
+	p := a.p
+	p.database = d
+	scan, starts, _ := p.targetScan()
 	if scan == nil {
 		return nil
 	}
-	run := a.newShardRun(scan)
-	m := a.query.Elements()
+	run := p.newShardRun(scan)
+	m := p.query.Elements()
 	run.emit = func(part [][]core.Hit) error {
-		for _, h := range d.d.Attribute(part[0], m) {
+		for _, h := range toRecordHits(d.d.Attribute(part[0], m)) {
 			a.tm.hits.Inc()
-			if err := emit(RecordHit{
-				RecordID:    h.RecordID,
-				RecordIndex: h.RecordIndex,
-				Offset:      h.Offset,
-				Score:       h.Score,
-			}); err != nil {
+			if err := emit(h); err != nil {
 				return err
 			}
 		}
@@ -423,7 +340,7 @@ func (a *Aligner) AlignDatabaseStreamContext(ctx context.Context, d *Database, e
 	}
 	// A *PartialError means every surviving shard's hits were emitted in
 	// order; it reports the uncovered ranges the way the gather path does.
-	_, err := run.run(ctx, sched.Plan(starts, a.shardLen))
+	_, err := run.run(ctx, sched.Plan(starts, p.shardLen))
 	if err != nil {
 		a.tm.recordCtxErr(err)
 	}
@@ -464,24 +381,23 @@ func NewSession(d *Database) (*Session, error) {
 		return nil, err
 	}
 	s.SetAlignFunc(func(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
-		hits, err := scanBatchDatabase(ctx, d, []isa.Program{prog}, []int{threshold})
+		hits, err := sessionPlan(d, []isa.Program{prog}, []int{threshold}).execute(ctx)
 		if err != nil {
 			return nil, err
 		}
 		return hits[0], nil
 	})
 	s.SetBatchAlignFunc(func(ctx context.Context, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
-		return scanBatchDatabase(ctx, d, progs, thresholds)
+		return sessionPlan(d, progs, thresholds).execute(ctx)
 	})
 	return &Session{s: s, d: d}, nil
 }
 
-// scanBatchDatabase is the database-level fused batch scan shared by
-// Session and AlignDatabaseBatchContext: every query scores from one pass
-// over the database's cached planes per tile.
-func scanBatchDatabase(ctx context.Context, d *Database, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
-	defaultAlignerTM.planeLookups.Inc()
-	return alignBatchFused(ctx, progs, thresholds, d.planes(), 0)
+// sessionPlan is a Session's fused scan of its resident database, run
+// like a Queries request: the shared pool and collector, one attempt per
+// shard.
+func sessionPlan(d *Database, progs []isa.Program, thresholds []int) *scanPlan {
+	return &scanPlan{progs: progs, thresholds: thresholds, database: d, pool: sched.Shared(), tm: &defaultAlignerTM}
 }
 
 // QueryTiming decomposes one query's projected end-to-end time in seconds.
@@ -503,17 +419,12 @@ func (s *Session) RunContext(ctx context.Context, q *Query, thresholdFrac float6
 	if err != nil {
 		return nil, QueryTiming{}, badOption(err)
 	}
-	res, err := s.s.RunQueryContext(ctx, isaProgram(q), threshold)
+	res, err := s.s.RunQueryContext(ctx, q.program, threshold)
 	if err != nil {
 		return nil, QueryTiming{}, err
 	}
-	attributed := s.d.d.Attribute(res.Hits, q.Elements())
-	out := make([]RecordHit, len(attributed))
-	for i, h := range attributed {
-		out[i] = RecordHit{RecordID: h.RecordID, RecordIndex: h.RecordIndex, Offset: h.Offset, Score: h.Score}
-	}
 	t := res.Timing
-	return out, QueryTiming{
+	return toRecordHits(s.d.d.Attribute(res.Hits, q.Elements())), QueryTiming{
 		Encode: t.EncodeSec, QueryTransfer: t.QueryTransferSec,
 		Kernel: t.KernelSec, Readback: t.ReadbackSec, Total: t.TotalSec,
 	}, nil
@@ -530,13 +441,13 @@ func (s *Session) RunBatch(queries []*Query, thresholdFrac float64) ([][]RecordH
 // cancellation between shards for the whole batch at once, so an aborted
 // batch returns ctx.Err() without scanning the remaining shards.
 func (s *Session) RunBatchContext(ctx context.Context, queries []*Query, thresholdFrac float64) ([][]RecordHit, float64, error) {
-	progs, _, err := batchKernelInputs(queries, thresholdFrac)
+	progs, err := batchPrograms(queries)
 	if err != nil {
 		return nil, 0, err
 	}
-	elems := make([]int, len(queries))
-	for i, q := range queries {
-		elems[i] = q.Elements()
+	// The fraction is batch-wide: reject a bad one before any scanning.
+	if _, err := core.ThresholdFromFraction(thresholdFrac, 1); err != nil {
+		return nil, 0, badOption(err)
 	}
 	res, err := s.s.RunBatchContext(ctx, progs, thresholdFrac)
 	if err != nil {
@@ -544,16 +455,10 @@ func (s *Session) RunBatchContext(ctx context.Context, queries []*Query, thresho
 	}
 	out := make([][]RecordHit, len(queries))
 	for i, hits := range res.PerQuery {
-		attributed := s.d.d.Attribute(hits, elems[i])
-		out[i] = make([]RecordHit, len(attributed))
-		for j, h := range attributed {
-			out[i][j] = RecordHit{RecordID: h.RecordID, RecordIndex: h.RecordIndex, Offset: h.Offset, Score: h.Score}
-		}
+		out[i] = toRecordHits(s.d.d.Attribute(hits, len(progs[i])))
 	}
 	return out, res.TotalSec, nil
 }
-
-func isaProgram(q *Query) isa.Program { return q.program }
 
 // batchPrograms validates every query of a batch up front — a batch either
 // starts fully or fails with every offending index named, never mid-scan.
@@ -574,73 +479,27 @@ func batchPrograms(queries []*Query) ([]isa.Program, error) {
 	return progs, nil
 }
 
-// batchKernelInputs validates a batch and resolves every query's absolute
-// threshold from the shared fraction — the inputs the fused kernel wants.
-// Query errors name every offending index; fraction errors are batch-wide.
-func batchKernelInputs(queries []*Query, thresholdFrac float64) ([]isa.Program, []int, error) {
-	progs, err := batchPrograms(queries)
-	if err != nil {
-		return nil, nil, err
+// scanBatch runs a batch wrapper's Scan at thresholdFrac. The wrappers
+// take the fraction explicitly, so zero — ScanRequest's 0.8 default — is
+// rejected like any other fraction outside (0,1].
+func scanBatch(req ScanRequest, thresholdFrac float64) (*ScanResult, error) {
+	if thresholdFrac == 0 {
+		return nil, badOptionf("fabp: threshold fraction 0 outside (0,1]")
 	}
-	thresholds := make([]int, len(queries))
-	for i, q := range queries {
-		t, err := core.ThresholdFromFraction(thresholdFrac, q.MaxScore())
-		if err != nil {
-			return nil, nil, badOption(err)
-		}
-		thresholds[i] = t
-	}
-	return progs, thresholds, nil
+	req.ThresholdFrac = thresholdFrac
+	return Scan(context.Background(), req)
 }
 
-// alignBatchFused is the fused batch scan: all K queries
-// compile into one bitpar.BatchKernel, the union of valid window starts is
-// tiled into shards, and each shard's reference plane words are fetched
-// ONCE for the whole batch — one pass per tile instead of K. Shards run
-// on the shared pool under the batch retry policy, with per-query hit
-// streams gathered in position order; cancellation sheds undispatched
-// shards for every query at once, and a shard that still fails fails the
-// batch (every query's results depend on every shard). shardLen 0 takes
-// the scheduler's default; tests pass small values to force
-// carry-straddling shard boundaries.
-func alignBatchFused(ctx context.Context, progs []isa.Program, thresholds []int, planes *bitpar.Planes, shardLen int) ([][]core.Hit, error) {
-	bk, err := bitpar.NewBatchKernel(progs, thresholds)
+// perQueryHits unpacks a Queries scan's per-query results with pick.
+func perQueryHits[T any](res *ScanResult, err error, pick func(QueryResult) T) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	tm := &defaultAlignerTM
-	k := bk.NumQueries()
-	tm.queries.Add(uint64(k))
-	tm.batchQueries.Add(uint64(k))
-	tm.kernelBitpar.Add(uint64(k))
-	starts := bk.Starts(planes.Len())
-	if starts <= 0 {
-		return make([][]core.Hit, k), ctx.Err()
+	out := make([]T, len(res.PerQuery))
+	for i, qr := range res.PerQuery {
+		out[i] = pick(qr)
 	}
-	shards := sched.Plan(starts, shardLen)
-	t0 := time.Now()
-	perQuery, err := newShardRun(sched.Shared(), currentBatchRetryPolicy(), false, tm, k,
-		func(lo, hi int, dst [][]core.Hit) [][]core.Hit {
-			return bk.AlignPlanesRange(planes, lo, hi, dst)
-		}).run(ctx, shards)
-	if err != nil {
-		tm.recordCtxErr(err)
-		return nil, err
-	}
-	recordFused(tm, k, len(shards), planes.SizeBytes(), t0)
-	for _, hits := range perQuery {
-		tm.hits.Add(uint64(len(hits)))
-	}
-	return perQuery, nil
-}
-
-// batchToHits converts per-query engine hit lists to the public type.
-func batchToHits(raw [][]core.Hit) [][]Hit {
-	out := make([][]Hit, len(raw))
-	for i, hits := range raw {
-		out[i] = publicHits(hits)
-	}
-	return out
+	return out, nil
 }
 
 // AlignBatch scans one reference with many queries in a single fused pass,
@@ -649,62 +508,20 @@ func batchToHits(raw [][]core.Hit) [][]Hit {
 // validated before any scanning starts. The reference packs into
 // bit-planes once — cached across calls — and the fused batch kernel reads
 // each reference tile once for the whole batch, bit-exact with K
-// independent single-query scans. It is AlignBatchContext under
-// context.Background().
+// independent single-query scans. It is Scan with Queries and Reference
+// set; use Scan for cancellation and a retry policy.
 func AlignBatch(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	return AlignBatchContext(context.Background(), queries, ref, thresholdFrac)
-}
-
-// AlignBatchContext is AlignBatch under a context: cancellation and
-// deadlines are honored at shard boundaries for the whole batch at once —
-// undispatched shards are shed for every query, shards already executing
-// finish, and the call returns ctx.Err() recorded on align.canceled /
-// align.deadline.exceeded. The shared plane cache is untouched by an
-// abort, so a retry scans the same resident planes.
-func AlignBatchContext(ctx context.Context, queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	if len(queries) == 0 {
-		return nil, badQueryf("fabp: empty batch")
-	}
-	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
-	if err != nil {
-		return nil, err
-	}
-	defaultAlignerTM.planeLookups.Inc()
-	raw, err := alignBatchFused(ctx, progs, thresholds, planesForReference(ref), 0)
-	if err != nil {
-		return nil, err
-	}
-	return batchToHits(raw), nil
+	res, err := scanBatch(ScanRequest{Queries: queries, Reference: ref}, thresholdFrac)
+	return perQueryHits(res, err, func(qr QueryResult) []Hit { return qr.Hits })
 }
 
 // AlignDatabaseBatch scans the whole database once for every query of a
 // batch and attributes each query's hits to records, dropping windows that
-// span record boundaries. It is AlignDatabaseBatchContext under
-// context.Background().
+// span record boundaries. It is Scan with Queries and Database set; use
+// Scan for cancellation and a retry policy.
 func AlignDatabaseBatch(d *Database, queries []*Query, thresholdFrac float64) ([][]RecordHit, error) {
-	return AlignDatabaseBatchContext(context.Background(), d, queries, thresholdFrac)
-}
-
-// AlignDatabaseBatchContext is AlignDatabaseBatch under a context: the
-// fused scan honors cancellation at shard boundaries (for the whole batch
-// at once) and returns ctx.Err() without scanning the remaining shards.
-func AlignDatabaseBatchContext(ctx context.Context, d *Database, queries []*Query, thresholdFrac float64) ([][]RecordHit, error) {
-	if len(queries) == 0 {
-		return nil, badQueryf("fabp: empty batch")
-	}
-	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
-	if err != nil {
-		return nil, err
-	}
-	perQuery, err := scanBatchDatabase(ctx, d, progs, thresholds)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]RecordHit, len(queries))
-	for i, hits := range perQuery {
-		out[i] = toRecordHits(d.d.Attribute(hits, queries[i].Elements()))
-	}
-	return out, nil
+	res, err := scanBatch(ScanRequest{Queries: queries, Database: d}, thresholdFrac)
+	return perQueryHits(res, err, func(qr QueryResult) []RecordHit { return qr.RecordHits })
 }
 
 // RunExperimentAs renders an experiment in the requested format: "text",

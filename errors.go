@@ -8,7 +8,7 @@ import (
 // The facade's error taxonomy. Every error the public API returns is
 // reachable through errors.Is / errors.As against one of four heads:
 //
-//	ErrBadQuery          the query text or ScanRequest.Query is unusable
+//	ErrBadQuery          the query text, ScanRequest.Query(s) or a Stream letter is unusable
 //	ErrBadOption         an option, ScanRequest field, or combination is invalid
 //	*PartialError        a scan completed degraded (errors.As; hits are valid)
 //	*db.CorruptError     a database file is structurally damaged
@@ -19,8 +19,9 @@ import (
 // errors keep their original messages, so string output is unchanged.
 // See DESIGN.md §13 for the full contract.
 var (
-	// ErrBadQuery matches errors caused by unusable query input: an
-	// unparsable or empty protein string, a nil ScanRequest.Query.
+	// ErrBadQuery matches errors caused by unusable request input: an
+	// unparsable or empty protein string, a missing query, an invalid
+	// letter in a ScanRequest.Stream.
 	ErrBadQuery = errors.New("fabp: bad query")
 	// ErrBadOption matches errors caused by invalid configuration: a
 	// NewAligner option out of range, an invalid ScanRequest field, or a

@@ -36,7 +36,6 @@ import (
 
 	"fabp/internal/backtrans"
 	"fabp/internal/bio"
-	"fabp/internal/bitpar"
 	"fabp/internal/core"
 	"fabp/internal/experiments"
 	"fabp/internal/isa"
@@ -276,29 +275,15 @@ func ParseKernel(s string) (Kernel, error) {
 // software model of the accelerator (proven equivalent to the generated
 // netlist in the test suite) and safe for concurrent use once built.
 type Aligner struct {
-	query     *Query
-	threshold int
-	// Exactly one scorer is compiled, for the kernel mode runs: bk, the
-	// fused kernel at K=1, or under KernelScalar engine, the scalar golden
-	// model.
-	bk     *bitpar.BatchKernel
-	engine *core.Engine
-	mode   Kernel
-	// pool executes database-scan shards; shared process-wide unless
-	// WithParallelism built a private one.
-	pool *sched.Pool
-	// shardLen is the shard size in window starts (0 = sched default).
-	shardLen int
+	// p is the aligner's single-query scan plan with its target unset —
+	// compiled scorer, pool, shard length, retry policy, partial mode and
+	// telemetry. Each call copies it and sets the target.
+	p scanPlan
 	// metrics is where this aligner reports (DefaultMetrics unless
 	// WithTelemetry supplied a private collector); tm holds the resolved
 	// per-metric handles the scan paths write through.
 	metrics *Metrics
 	tm      alignerMetrics
-	// retryPolicy bounds automatic re-execution of failed/straggling
-	// shards (zero = single attempt); partial opts database scans into
-	// degraded completion with a *PartialError. See resilience.go.
-	retryPolicy RetryPolicy
-	partial     bool
 }
 
 // AlignerOption customizes NewAligner.
@@ -413,46 +398,29 @@ func NewAligner(q *Query, opts ...AlignerOption) (*Aligner, error) {
 		}
 		threshold = t
 	}
-	engine, bk, err := compileQuery(q.program, threshold, cfg.kernel)
-	if err != nil {
+	a := &Aligner{metrics: cfg.metrics, tm: newAlignerMetrics(cfg.metrics.reg)}
+	a.p = scanPlan{
+		query: q, progs: []isa.Program{q.program}, thresholds: []int{threshold},
+		kernel: cfg.kernel, shardLen: cfg.shardLen, rp: cfg.retryPolicy,
+		partial: cfg.partial, pool: sched.Shared(), tm: &a.tm,
+	}
+	if err := a.p.compile(); err != nil {
 		return nil, err
 	}
-	pool := sched.Shared()
 	if cfg.parallelism > 0 {
-		pool = sched.NewPool(cfg.parallelism)
-		pool.SetMetrics(cfg.metrics.reg)
+		a.p.pool = sched.NewPool(cfg.parallelism)
+		a.p.pool.SetMetrics(cfg.metrics.reg)
 	}
-	return &Aligner{
-		query: q, threshold: threshold, bk: bk, engine: engine, mode: cfg.kernel,
-		pool: pool, shardLen: cfg.shardLen,
-		metrics: cfg.metrics, tm: newAlignerMetrics(cfg.metrics.reg),
-		retryPolicy: cfg.retryPolicy, partial: cfg.partial,
-	}, nil
-}
-
-// compileQuery compiles a query at threshold t for the kernel mode runs:
-// the fused kernel at K=1, or the scalar engine under KernelScalar. Only
-// one is built — a default aligner never pays for an engine it does not
-// scan with.
-func compileQuery(prog isa.Program, t int, mode Kernel) (engine *core.Engine, bk *bitpar.BatchKernel, err error) {
-	if mode == KernelScalar {
-		engine, err = core.NewEngine(prog, t)
-	} else {
-		bk, err = bitpar.NewBatchKernel([]isa.Program{prog}, []int{t})
-	}
-	if err != nil {
-		return nil, nil, badOption(err)
-	}
-	return engine, bk, nil
+	return a, nil
 }
 
 // oracle returns the scalar engine for the off-scan helpers (EValueOf,
 // ScoreAt): the aligner's own under KernelScalar, else a fresh one.
 func (a *Aligner) oracle() *core.Engine {
-	if a.engine != nil {
-		return a.engine
+	if a.p.engine != nil {
+		return a.p.engine
 	}
-	e, _ := core.NewEngine(a.query.program, a.threshold) // validated by NewAligner
+	e, _ := core.NewEngine(a.p.progs[0], a.Threshold()) // validated by NewAligner
 	return e
 }
 
@@ -461,10 +429,10 @@ func (a *Aligner) oracle() *core.Engine {
 func (a *Aligner) Metrics() *Metrics { return a.metrics }
 
 // Kernel returns the configured kernel selection.
-func (a *Aligner) Kernel() Kernel { return a.mode }
+func (a *Aligner) Kernel() Kernel { return a.p.kernel }
 
 // Threshold returns the configured hit threshold.
-func (a *Aligner) Threshold() int { return a.threshold }
+func (a *Aligner) Threshold() int { return a.p.thresholds[0] }
 
 // Align scans the reference and returns every hit in position order. It
 // is AlignContext under context.Background() — uncancellable, never errs.
@@ -483,32 +451,13 @@ func (a *Aligner) Align(ref *Reference) []Hit {
 // shares the cache- and singleflight-aware spine with Scan: repeats are
 // answered from memory and concurrent identical scans collapse into one.
 func (a *Aligner) AlignContext(ctx context.Context, ref *Reference) ([]Hit, error) {
-	res, _, err := a.cachedReferenceScan(ctx, ref)
+	p := a.p
+	p.reference = ref
+	res, err := p.run(ctx)
 	if res == nil {
 		return nil, err
 	}
 	return res.Hits, err
-}
-
-// executeReferenceScan is the uncached reference scan — the historical
-// AlignContext body, producing a *ScanResult. Every telemetry update
-// lives here, so cached and collapsed calls observably run zero scans.
-func (a *Aligner) executeReferenceScan(ctx context.Context, ref *Reference) (*ScanResult, error) {
-	a.tm.queries.Inc()
-	t0 := time.Now()
-	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	if err := ctx.Err(); err != nil {
-		a.tm.recordCtxErr(err)
-		return nil, err
-	}
-	scan, starts := a.referenceScan(ref)
-	raw, perr, err := a.runScan(ctx, scan, starts)
-	if err != nil {
-		return nil, err
-	}
-	hits := publicHits(raw)
-	a.tm.hits.Add(uint64(len(hits)))
-	return a.newScanResult(hits, nil, perr), perr
 }
 
 // publicHits converts engine hits to the public type.
@@ -540,15 +489,14 @@ func (a *Aligner) AlignStream(r io.Reader, emit func(Hit) error) error {
 // unblocking). Aborts are recorded on align.canceled /
 // align.deadline.exceeded.
 func (a *Aligner) AlignStreamContext(ctx context.Context, r io.Reader, emit func(Hit) error) error {
-	if a.mode == KernelScalar {
-		return badOptionf("fabp: AlignStream does not run KernelScalar (the oracle for in-memory targets): use KernelAuto or KernelBitParallel")
+	p := a.p
+	p.stream, p.partial = r, false
+	p.emit = func(_ int, h Hit) error { return emit(h) }
+	if err := p.check(); err != nil {
+		return err
 	}
-	a.tm.queries.Inc()
-	t0 := time.Now()
-	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	a.tm.kernelBitpar.Inc()
-	return scanStream(ctx, r, a.bk, a.pool, a.retryPolicy, &a.tm,
-		func(_ int, h Hit) error { return emit(h) })
+	_, err := p.run(ctx)
+	return err
 }
 
 // EValueOf returns the expected number of random windows reaching score in
@@ -573,14 +521,14 @@ func (a *Aligner) Best(ref *Reference) (Hit, bool) {
 	a.tm.queries.Inc()
 	t0 := time.Now()
 	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	// z is this aligner recompiled at threshold 0: same kernel selection,
-	// pool, shard length and telemetry.
-	z := *a
-	var err error
-	if z.engine, z.bk, err = compileQuery(a.query.program, 0, a.mode); err != nil {
+	// z is this aligner's plan recompiled at threshold 0: same kernel
+	// selection, pool, shard length and telemetry.
+	z := a.p
+	z.thresholds, z.bk, z.engine, z.reference = []int{0}, nil, nil, ref
+	if err := z.compile(); err != nil {
 		return Hit{}, false
 	}
-	scan, starts := z.referenceScan(ref)
+	scan, starts, _ := z.targetScan()
 	if scan == nil {
 		return Hit{}, false
 	}
@@ -615,8 +563,8 @@ func (a *Aligner) Best(ref *Reference) (Hit, bool) {
 // ScoreAt returns the alignment score at one reference position,
 // instrumented like a (single-window) scan.
 func (a *Aligner) ScoreAt(ref *Reference, pos int) (int, error) {
-	if pos < 0 || pos+a.query.Elements() > ref.Len() {
-		return 0, fmt.Errorf("fabp: position %d out of range for window of %d elements", pos, a.query.Elements())
+	if pos < 0 || pos+a.p.query.Elements() > ref.Len() {
+		return 0, fmt.Errorf("fabp: position %d out of range for window of %d elements", pos, a.p.query.Elements())
 	}
 	a.tm.queries.Inc()
 	t0 := time.Now()

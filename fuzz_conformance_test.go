@@ -120,11 +120,13 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 }
 
 // checkBatchConformance is the batch arm of the differential oracle: the
-// per-query scalar engine defines the truth, and the fused batch kernel —
-// whole-scan and under shard sizes straddling the longest query's carry
-// overlap — plus K independent Scan calls (the unfused baseline) must
-// reproduce it per query, hit for hit, in order. Queries deliberately mix
-// lengths so the fused scan's per-query window clamping is exercised.
+// per-query scalar engine defines the truth, and every front-door form of
+// a K-query scan must reproduce it per query, hit for hit, in order — K
+// independent Scan calls (the unfused baseline), and fused Queries scans
+// of a Reference and of a Database (hits attributed by record) under
+// shard sizes straddling the longest query's carry overlap, and of a
+// Stream across chunk sizes straddling its carry. Queries deliberately
+// mix lengths so the fused scan's per-query window clamping is exercised.
 func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac float64) {
 	t.Helper()
 	queries := make([]*Query, 0, len(proteins))
@@ -143,15 +145,27 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 	if err != nil {
 		t.Skip(err)
 	}
-	progs, thresholds, err := batchKernelInputs(queries, frac)
+	dbase, err := DatabaseFromReference("conf", ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Scalar truth: one engine per query over the whole reference.
+	// Scalar truth: one engine per query over the whole reference, and
+	// its hits attributed by record for the Database arm.
 	want := make([][]Hit, len(queries))
+	wantRec := make([][]RecordHit, len(queries))
 	for i, q := range queries {
-		want[i] = engineHits(t, q, ref, thresholds[i])
+		thr, err := core.ThresholdFromFraction(frac, q.MaxScore())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := core.NewEngine(q.program, thr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := e.Align(ref.seq)
+		want[i] = publicHits(raw)
+		wantRec[i] = toRecordHits(dbase.d.Attribute(raw, q.Elements()))
 	}
 
 	assertBatch := func(label string, got [][]Hit) {
@@ -162,6 +176,18 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 		for qi := range want {
 			assertHitsEqual(t, fmt.Sprintf("%s query %d", label, qi), want[qi], got[qi])
 		}
+	}
+	scan := func(label string, req ScanRequest) *ScanResult {
+		t.Helper()
+		req.Queries, req.ThresholdFrac = queries, frac
+		res, err := Scan(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if len(res.PerQuery) != len(queries) {
+			t.Fatalf("%s: %d query results, want %d", label, len(res.PerQuery), len(queries))
+		}
+		return res
 	}
 
 	// K independent single-query scans (the unfused baseline).
@@ -175,28 +201,42 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 	}
 	assertBatch("per-query Scan", perQuery)
 
-	// The fused in-memory batch front door.
+	// The fused in-memory batch wrapper.
 	fused, err := AlignBatch(queries, ref, frac)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBatch("AlignBatch", fused)
 
-	// The fused batch kernel: whole scan, then shard sizes straddling the
-	// longest query's carry overlap (64 is the smallest legal tile; the
-	// aligned sizes around maxElems force shards whose overlap reads cross
-	// into the next shard's block).
-	planes := planesForReference(ref)
+	// Fused Queries scans of both in-memory targets: whole scan, then
+	// shard sizes straddling the longest query's carry overlap (64 is the
+	// smallest legal tile; the aligned sizes around maxElems force shards
+	// whose overlap reads cross into the next shard's block).
 	shardLens := []int{0, 64, 128, (maxElems + 63) &^ 63, (maxElems + 127) &^ 63}
 	for _, shardLen := range shardLens {
-		raw, err := alignBatchFused(context.Background(), progs, thresholds, planes, shardLen)
-		if err != nil {
-			t.Fatal(err)
+		label := fmt.Sprintf("Scan Queries/Reference shardLen=%d", shardLen)
+		res := scan(label, ScanRequest{Reference: ref, ShardLen: shardLen})
+		got := make([][]Hit, len(queries))
+		for qi, qr := range res.PerQuery {
+			got[qi] = qr.Hits
 		}
-		assertBatch(fmt.Sprintf("fused shardLen=%d", shardLen), batchToHits(raw))
+		assertBatch(label, got)
+
+		label = fmt.Sprintf("Scan Queries/Database shardLen=%d", shardLen)
+		res = scan(label, ScanRequest{Database: dbase, ShardLen: shardLen})
+		for qi, qr := range res.PerQuery {
+			if len(qr.RecordHits) != len(wantRec[qi]) {
+				t.Fatalf("%s query %d: %d hits, want %d", label, qi, len(qr.RecordHits), len(wantRec[qi]))
+			}
+			for i := range wantRec[qi] {
+				if qr.RecordHits[i] != wantRec[qi][i] {
+					t.Fatalf("%s query %d hit %d = %+v, want %+v", label, qi, i, qr.RecordHits[i], wantRec[qi][i])
+				}
+			}
+		}
 	}
 
-	// The fused batch STREAMING path: one pooled pack per chunk shared by
+	// Fused Queries scans of a Stream: one pooled pack per chunk shared by
 	// every query, across chunk sizes straddling the longest query's carry
 	// (maxElems+2 is the clamp floor, the last runs carry-free) — streamed
 	// hits must be byte-identical to the scalar truth per query.
@@ -204,13 +244,13 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 	for _, chunk := range []int{maxElems + 2, 2*maxElems + 1, len(refStr) + 1} {
 		streamChunkLetters = chunk
 		got := make([][]Hit, len(queries))
-		err := AlignBatchStream(queries, strings.NewReader(refStr), frac, func(qi int, h Hit) error {
-			got[qi] = append(got[qi], h)
-			return nil
+		scan(fmt.Sprintf("Scan Queries/Stream chunk=%d", chunk), ScanRequest{
+			Stream: strings.NewReader(refStr),
+			Emit: func(qi int, h Hit) error {
+				got[qi] = append(got[qi], h)
+				return nil
+			},
 		})
-		if err != nil {
-			t.Fatalf("chunk %d AlignBatchStream: %v", chunk, err)
-		}
 		assertBatch(fmt.Sprintf("batch stream chunk=%d", chunk), got)
 	}
 }

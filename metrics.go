@@ -242,8 +242,8 @@ func (tm *alignerMetrics) recordCtxErr(err error) {
 // line.
 func observeSince(h *telemetry.Histogram, t0 time.Time) { h.Observe(time.Since(t0)) }
 
-// defaultAlignerTM instruments the package-level paths (AlignBatch,
-// Session) that have no per-aligner collector.
+// defaultAlignerTM instruments the scans without a per-aligner collector:
+// Scan requests and Session's align hooks.
 var defaultAlignerTM = newAlignerMetrics(telemetry.Default())
 
 // Warm-start accounting: how LoadDatabase calls resolved. A "reused" load

@@ -114,7 +114,7 @@ func proteinKeyOf(o *tblastn.Options) proteinKey {
 // executeProteinSearch is the plan's cold path: run the pipeline over
 // the target's nucleotide sequence and shape the result.
 func (p *scanPlan) executeProteinSearch(ctx context.Context) (*ScanResult, error) {
-	hsps, st, err := tblastn.SearchContext(ctx, p.req.Query.protein, p.targetSeq(), *p.protein)
+	hsps, st, err := tblastn.SearchContext(ctx, p.query.protein, p.targetSeq(), *p.protein)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -137,10 +137,10 @@ func (p *scanPlan) executeProteinSearch(ctx context.Context) (*ScanResult, error
 
 // targetSeq returns the plan target's nucleotide sequence.
 func (p *scanPlan) targetSeq() bio.NucSeq {
-	if p.req.Database != nil {
-		return p.req.Database.d.Seq()
+	if p.database != nil {
+		return p.database.d.Seq()
 	}
-	return p.req.Reference.seq
+	return p.reference.seq
 }
 
 // hspsFromInternal converts pipeline HSPs to the facade shape.
@@ -164,17 +164,10 @@ func hspsFromInternal(hsps []tblastn.HSP) []HSP {
 
 // SearchProtein runs a TBLASTN-style protein search against ref through
 // the Scan spine (result cache included, when enabled). It returns the
-// HSPs sorted best-first; use Scan directly for stats, cache provenance,
-// and MaxHits control.
+// HSPs sorted best-first; use Scan directly for cancellation, stats, cache
+// provenance, and MaxHits control.
 func SearchProtein(query *Query, ref *Reference, opts ProteinSearchOptions) ([]HSP, error) {
-	return SearchProteinContext(context.Background(), query, ref, opts)
-}
-
-// SearchProteinContext is SearchProtein with cancellation: the scan
-// observes ctx at shard dispatch and merge and returns ctx.Err() once
-// it fires.
-func SearchProteinContext(ctx context.Context, query *Query, ref *Reference, opts ProteinSearchOptions) ([]HSP, error) {
-	res, err := Scan(ctx, ScanRequest{Query: query, Reference: ref, ProteinSearch: &opts})
+	res, err := Scan(context.Background(), ScanRequest{Query: query, Reference: ref, ProteinSearch: &opts})
 	if err != nil {
 		return nil, err
 	}

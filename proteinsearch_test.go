@@ -190,9 +190,9 @@ func TestSearchProteinCancelMidScan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := SearchProteinContext(ctx, q, ref, ProteinSearchOptions{
+		_, err := Scan(ctx, ScanRequest{Query: q, Reference: ref, ProteinSearch: &ProteinSearchOptions{
 			Threads: 8, MinScore: MinScoreAll, NeighborThreshold: NeighborThresholdAll,
-		})
+		}})
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

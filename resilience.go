@@ -1,5 +1,5 @@
 // resilience.go is the facade of the scan pipeline's resilience layer:
-// the public retry/hedge policy (WithRetryPolicy, SetBatchRetryPolicy) and
+// the public retry/hedge policy (WithRetryPolicy, ScanRequest.RetryPolicy) and
 // opt-in partial-result degradation (WithPartialResults, PartialError).
 // Every shard of every nucleotide scan runs under the policy (see
 // shardRun): bounded retries with deterministic jittered backoff, hedged
@@ -11,7 +11,6 @@ package fabp
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"fabp/internal/retry"
@@ -111,28 +110,4 @@ func (e *PartialError) Error() string {
 		fmt.Fprintf(&b, " [%d,%d): %v;", r.Lo, r.Hi, r.Err)
 	}
 	return strings.TrimSuffix(b.String(), ";")
-}
-
-// batchRetryPolicy is the policy the package-level batch and Session
-// paths use (they have no Aligner to carry WithRetryPolicy).
-var (
-	batchRetryMu     sync.RWMutex
-	batchRetryPolicy RetryPolicy
-)
-
-// SetBatchRetryPolicy sets the retry/hedge policy for the package-level
-// fused batch and Session scan paths (AlignBatch*, AlignDatabaseBatch*,
-// Session.Run*), which have no Aligner to configure. The zero policy
-// restores single-attempt behavior. Safe for concurrent use; batch scans
-// read the policy once at call start.
-func SetBatchRetryPolicy(rp RetryPolicy) {
-	batchRetryMu.Lock()
-	batchRetryPolicy = rp
-	batchRetryMu.Unlock()
-}
-
-func currentBatchRetryPolicy() RetryPolicy {
-	batchRetryMu.RLock()
-	defer batchRetryMu.RUnlock()
-	return batchRetryPolicy
 }

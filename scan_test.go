@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fabp/internal/sched"
 )
 
 // enableScanCache turns the result cache on for one test and restores the
@@ -32,6 +34,8 @@ func TestScanRequestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := ScanRequest{Query: q, Reference: ref}
+	emit := func(int, Hit) error { return nil }
+	stream := func() *strings.Reader { return strings.NewReader(ref.String()) }
 
 	cases := []struct {
 		name string
@@ -51,6 +55,18 @@ func TestScanRequestValidation(t *testing.T) {
 		{"fraction above one", ScanRequest{Query: q, Reference: ref, ThresholdFrac: 1.5}, ErrBadOption, "ScanRequest.ThresholdFrac"},
 		{"negative fraction", ScanRequest{Query: q, Reference: ref, ThresholdFrac: -0.2}, ErrBadOption, "ScanRequest.ThresholdFrac"},
 		{"bad retry policy", ScanRequest{Query: q, Reference: ref, RetryPolicy: RetryPolicy{MaxRetries: -1}}, ErrBadOption, "MaxRetries"},
+		{"query and queries", ScanRequest{Query: q, Queries: []*Query{q}, Reference: ref}, ErrBadOption, "ScanRequest.Queries"},
+		{"empty queries", ScanRequest{Queries: []*Query{}, Reference: ref}, ErrBadQuery, "ScanRequest.Query"},
+		{"nil batch entry", ScanRequest{Queries: []*Query{q, nil}, Reference: ref}, ErrBadQuery, "index 1"},
+		{"batch absolute threshold", ScanRequest{Queries: []*Query{q, q}, Reference: ref, Threshold: ptrInt(5)}, ErrBadOption, "ScanRequest.Threshold"},
+		{"batch scalar kernel", ScanRequest{Queries: []*Query{q, q}, Reference: ref, Kernel: KernelScalar}, ErrBadOption, "KernelScalar"},
+		{"one-query batch scalar kernel", ScanRequest{Queries: []*Query{q}, Reference: ref, Kernel: KernelScalar}, ErrBadOption, "KernelScalar"},
+		{"stream scalar kernel", ScanRequest{Query: q, Stream: stream(), Emit: emit, Kernel: KernelScalar}, ErrBadOption, "KernelScalar"},
+		{"stream partial", ScanRequest{Query: q, Stream: stream(), Emit: emit, Partial: true}, ErrBadOption, "ScanRequest.Partial"},
+		{"emit without stream", ScanRequest{Query: q, Reference: ref, Emit: emit}, ErrBadOption, "ScanRequest.Emit"},
+		{"stream without emit", ScanRequest{Query: q, Stream: stream()}, ErrBadOption, "ScanRequest.Emit"},
+		{"stream and reference", ScanRequest{Query: q, Reference: ref, Stream: stream(), Emit: emit}, ErrBadOption, "exactly one target"},
+		{"protein batch", ScanRequest{Queries: []*Query{q}, Reference: ref, ProteinSearch: &ProteinSearchOptions{}}, ErrBadOption, "ScanRequest.ProteinSearch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -411,6 +427,104 @@ func TestScanPartialNeverCached(t *testing.T) {
 	clean := ScanRequest{Query: q, Reference: ref}
 	if _, ok := CachedScan(clean); ok {
 		t.Error("partial-mode scan seeded the cache")
+	}
+}
+
+// TestScanBatchAndStreamBypassCache: Queries and Stream requests run
+// uncached even with the cache on — Cache reads bypass, CachedScan never
+// answers them, and they seed nothing a single-query probe could find.
+func TestScanBatchAndStreamBypassCache(t *testing.T) {
+	enableScanCache(t, 8<<20)
+	ref, genes := SyntheticReference(39, 20_000, 2, 20)
+	var queries []*Query
+	for _, g := range genes {
+		q, err := NewQuery(g.Protein)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	streamed := 0
+	for name, req := range map[string]ScanRequest{
+		"batch":  {Queries: queries, Reference: ref},
+		"stream": {Query: queries[0], Stream: strings.NewReader(ref.String()), Emit: func(int, Hit) error { streamed++; return nil }},
+	} {
+		res, err := Scan(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Cache != CacheBypass {
+			t.Errorf("%s: outcome %q, want %q", name, res.Cache, CacheBypass)
+		}
+		if _, ok := CachedScan(req); ok {
+			t.Errorf("%s: CachedScan answered an uncacheable request", name)
+		}
+	}
+	if streamed == 0 {
+		t.Fatal("stream found no hits; the stream row is vacuous")
+	}
+	if _, ok := CachedScan(ScanRequest{Query: queries[0], Reference: ref}); ok {
+		t.Error("a batch or stream scan seeded the cache")
+	}
+	if got := ScanCacheSnapshot().Entries; got != 0 {
+		t.Errorf("cache holds %d entries after uncacheable scans", got)
+	}
+}
+
+// TestScanQueriesFusedPass pins fusion through the front door: a K-query
+// Scan makes one fused pass per tile — batch.fused_passes equals the
+// shards run — and batch.plane_bytes_saved grows by (K−1) × the target's
+// plane bytes, the accounting AlignDatabaseBatch has always reported.
+func TestScanQueriesFusedPass(t *testing.T) {
+	ref, genes := SyntheticReference(47, 1_000_000, 4, 30)
+	dbase, err := DatabaseFromReference("fused", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []*Query
+	minElems := 0
+	for _, g := range genes {
+		q, err := NewQuery(g.Protein)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+		if minElems == 0 || q.Elements() < minElems {
+			minElems = q.Elements()
+		}
+	}
+	k := uint64(len(queries))
+	shards := uint64(len(sched.Plan(dbase.Len()-minElems+1, 0)))
+	if shards < 2 {
+		t.Fatalf("%d shard; the fused-pass count is vacuous", shards)
+	}
+	planeBytes := uint64(dbase.planes().SizeBytes())
+
+	for name, scan := range map[string]func() error{
+		"Scan": func() error {
+			_, err := Scan(context.Background(), ScanRequest{Queries: queries, Database: dbase})
+			return err
+		},
+		"AlignDatabaseBatch": func() error {
+			_, err := AlignDatabaseBatch(dbase, queries, 0.8)
+			return err
+		},
+	} {
+		before := DefaultMetrics().Snapshot().Counters
+		if err := scan(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		after := DefaultMetrics().Snapshot().Counters
+		delta := func(name string) uint64 { return after[name] - before[name] }
+		if got := delta("batch.fused_passes"); got != shards || delta("scan.shards.run") != shards {
+			t.Errorf("%s: %d fused passes, %d shards run; want %d each", name, got, delta("scan.shards.run"), shards)
+		}
+		if got, want := delta("batch.plane_bytes_saved"), (k-1)*planeBytes; got != want {
+			t.Errorf("%s: plane bytes saved %d, want (K-1)×%d = %d", name, got, planeBytes, want)
+		}
+		if got := delta("batch.queries"); got != k {
+			t.Errorf("%s: batch.queries %d, want %d", name, got, k)
+		}
 	}
 }
 

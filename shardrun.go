@@ -55,25 +55,20 @@ type shardRun struct {
 	sink    func(int, [][]core.Hit, error) error
 }
 
-// newShardRun builds a shard runner for k queries on pool under rp,
-// reporting on tm.
-func newShardRun(pool *sched.Pool, rp RetryPolicy, partial bool, tm *alignerMetrics, k int, scan shardScan) *shardRun {
+// newShardRun builds a shard runner for the plan's queries on its pool,
+// under its retry policy and partial mode, reporting on its telemetry.
+func (p *scanPlan) newShardRun(scan shardScan) *shardRun {
+	rp := p.rp
 	r := &shardRun{
-		pool:    pool,
-		res:     sched.NewResilience(rp.backoff(), rp.HedgeAfter, rp.HedgeBudget, tm.retries, tm.hedged),
-		tm:      tm,
-		partial: partial,
-		k:       k,
+		pool:    p.pool,
+		res:     sched.NewResilience(rp.backoff(), rp.HedgeAfter, rp.HedgeBudget, p.tm.retries, p.tm.hedged),
+		tm:      p.tm,
+		partial: p.partial,
+		k:       len(p.progs),
 		scan:    scan,
 	}
 	r.produce, r.sink = r.scanShard, r.take
 	return r
-}
-
-// newShardRun builds the aligner's single-query runner: its pool, retry
-// policy, partial mode and telemetry.
-func (a *Aligner) newShardRun(scan shardScan) *shardRun {
-	return newShardRun(a.pool, a.retryPolicy, a.partial, &a.tm, 1, scan)
 }
 
 // run executes the plan and returns the gathered per-query hits (len k;

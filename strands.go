@@ -39,7 +39,7 @@ func (a *Aligner) AlignBothStrands(ref *Reference) []StrandHit {
 		out = append(out, StrandHit{Pos: h.Pos, Score: h.Score, Strand: StrandForward})
 	}
 	rc := &Reference{seq: bio.NucSeq(ref.seq).ReverseComplement()}
-	m := a.query.Elements()
+	m := a.p.query.Elements()
 	for _, h := range a.Align(rc) {
 		// Window [h.Pos, h.Pos+m) on the reverse complement maps to
 		// forward positions [len-h.Pos-m, len-h.Pos).

@@ -48,6 +48,8 @@ var streamChunkLetters = 1 << 20
 // returned no data retry (a short read with an error delivers its bytes
 // first, exactly as io.Reader semantics require); exhausted or
 // non-retryable errors surface through the flush-before-error path below.
+// An invalid letter is bad input, not a scan failure: its error names the
+// global position and matches ErrBadQuery.
 func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, tm *alignerMetrics, rp RetryPolicy, scan func(pp *bitpar.Planes, lo, hi, base int) error) error {
 	chunkLetters := streamChunkLetters
 	if chunkLetters < m+2 {
@@ -121,7 +123,7 @@ func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, tm *alignerMetr
 			tm.packWords.Add(uint64(bld.Words() - w0))
 		}
 		if perr != nil {
-			return fmt.Errorf("fabp: position %d: %w", base+bld.Len(), perr)
+			return badQuery(fmt.Errorf("fabp: position %d: %w", base+bld.Len(), perr))
 		}
 		if bld.Len() >= chunkLetters {
 			if err := flush(false); err != nil {
@@ -155,35 +157,53 @@ func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, tm *alignerMetr
 	}
 }
 
-// scanStream is the chunked stream scan behind AlignStream (K=1) and
-// AlignBatchStream: scanChunks packs each chunk once, and the chunk's
-// fresh window starts [lo, hi) run for every query of bk in one pass over
-// the shared planes, as the shards of one per-stream shardRun on pool
-// under rp. A chunk that fits one shard runs inline into the previous
-// chunk's hit lists — already delivered — so the steady-state stream
-// allocates nothing here until hits appear. Hits reach emit with their
-// query index, in position order per query within each chunk. Fused-pass
-// and plane-reuse accounting matches the database batch path, so stream
-// and database fusion read identically on the instrument panel.
-func scanStream(ctx context.Context, r io.Reader, bk *bitpar.BatchKernel, pool *sched.Pool, rp RetryPolicy, tm *alignerMetrics, emit func(qi int, h Hit) error) error {
+// scanStream is the plan's chunked stream scan: scanChunks packs each
+// chunk once, and the chunk's fresh window starts [lo, hi) run for every
+// query of the fused kernel in one pass over the shared planes, as the
+// shards of one per-stream shardRun. A chunk that fits one shard runs
+// inline into the previous chunk's hit lists — already delivered — so
+// the steady-state stream allocates nothing here until hits appear. Hits
+// reach the plan's emit with their query index, in position order per
+// query within each chunk, at most maxHits per query. Fused-pass and
+// plane-reuse accounting matches the in-memory batch path, so stream and
+// database fusion read identically on the instrument panel.
+func (p *scanPlan) scanStream(ctx context.Context) (*ScanResult, error) {
+	tm, k := p.tm, len(p.progs)
+	tm.queries.Add(uint64(k))
+	if p.query == nil {
+		tm.batchQueries.Add(uint64(k))
+	}
+	tm.kernelBitpar.Add(uint64(k))
+	defer observeSince(tm.alignLatency, time.Now())
+	if err := p.compile(); err != nil {
+		return nil, err
+	}
+	bk := p.bk
 	var pp *bitpar.Planes
-	run := newShardRun(pool, rp, false, tm, bk.NumQueries(), func(lo, hi int, dst [][]core.Hit) [][]core.Hit {
+	run := p.newShardRun(func(lo, hi int, dst [][]core.Hit) [][]core.Hit {
 		return bk.AlignPlanesRange(pp, lo, hi, dst)
 	})
+	per := p.perQuery()
+	emitted := make([]int, k)
 	var shards []sched.Shard
-	err := scanChunks(ctx, r, bk.MaxElems(), bk.MinElems(), tm, rp, func(chunk *bitpar.Planes, lo, hi, base int) error {
+	err := scanChunks(ctx, p.stream, bk.MaxElems(), bk.MinElems(), tm, p.rp, func(chunk *bitpar.Planes, lo, hi, base int) error {
 		pp = chunk
-		shards = sched.AppendPlanRange(shards, lo, hi, 0)
+		shards = sched.AppendPlanRange(shards, lo, hi, p.shardLen)
 		t0 := time.Now()
 		perQuery, err := run.run(ctx, shards)
 		if err != nil {
 			return err
 		}
-		recordFused(tm, bk.NumQueries(), len(shards), pp.SizeBytes(), t0)
+		recordFused(tm, k, len(shards), pp.SizeBytes(), t0)
 		for qi, hits := range perQuery {
 			tm.hits.Add(uint64(len(hits)))
 			for _, h := range hits {
-				if err := emit(qi, Hit{Pos: base + h.Pos, Score: h.Score}); err != nil {
+				if p.maxHits > 0 && emitted[qi] == p.maxHits {
+					per[qi].Truncated = true
+					break
+				}
+				emitted[qi]++
+				if err := p.emit(qi, Hit{Pos: base + h.Pos, Score: h.Score}); err != nil {
 					return err
 				}
 			}
@@ -193,7 +213,7 @@ func scanStream(ctx context.Context, r io.Reader, bk *bitpar.BatchKernel, pool *
 	if err != nil {
 		tm.recordCtxErr(err)
 	}
-	return err
+	return p.result(per), err
 }
 
 // AlignBatchStream scans one nucleotide stream with many queries in a
@@ -204,36 +224,9 @@ func scanStream(ctx context.Context, r io.Reader, bk *bitpar.BatchKernel, pool *
 // to emit with their query index, in position order per query within each
 // chunk. Thresholds are the given fraction of each query's own maximum
 // score; every query is validated before any reading starts. Return an
-// error from emit to stop early. It is AlignBatchStreamContext under
-// context.Background().
+// error from emit to stop early. It is Scan with Queries, Stream and Emit
+// set; use Scan for cancellation and a retry policy.
 func AlignBatchStream(queries []*Query, r io.Reader, thresholdFrac float64, emit func(query int, h Hit) error) error {
-	return AlignBatchStreamContext(context.Background(), queries, r, thresholdFrac, emit)
-}
-
-// AlignBatchStreamContext is AlignBatchStream with cooperative
-// cancellation: the context is checked before every chunk read and at
-// shard boundaries within each chunk, so the call returns ctx.Err()
-// without reading the rest of the stream. Aborts are recorded on
-// align.canceled / align.deadline.exceeded; reads retry under the
-// batch retry policy (SetBatchRetryPolicy).
-func AlignBatchStreamContext(ctx context.Context, queries []*Query, r io.Reader, thresholdFrac float64, emit func(query int, h Hit) error) error {
-	if len(queries) == 0 {
-		return badQueryf("fabp: empty batch")
-	}
-	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
-	if err != nil {
-		return err
-	}
-	bk, err := bitpar.NewBatchKernel(progs, thresholds)
-	if err != nil {
-		return err
-	}
-	tm := &defaultAlignerTM
-	k := uint64(bk.NumQueries())
-	tm.queries.Add(k)
-	tm.batchQueries.Add(k)
-	tm.kernelBitpar.Add(k)
-	t0 := time.Now()
-	defer func() { observeSince(tm.alignLatency, t0) }()
-	return scanStream(ctx, r, bk, sched.Shared(), currentBatchRetryPolicy(), tm, emit)
+	_, err := scanBatch(ScanRequest{Queries: queries, Stream: r, Emit: emit}, thresholdFrac)
+	return err
 }

@@ -392,8 +392,8 @@ func TestAlignBatchStreamValidation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = AlignBatchStreamContext(ctx, []*Query{q}, strings.NewReader(ref.String()), 0.7,
-		func(int, Hit) error { return nil })
+	_, err = Scan(ctx, ScanRequest{Queries: []*Query{q}, Stream: strings.NewReader(ref.String()), ThresholdFrac: 0.7,
+		Emit: func(int, Hit) error { return nil }})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx: got %v", err)
 	}

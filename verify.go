@@ -62,7 +62,7 @@ func (a *Aligner) AlignVerified(ref *Reference, opts VerifyOptions) ([]VerifiedH
 		// Keep the window in the hit's codon frame so the translation
 		// lines up with the query's residues.
 		lo += (h.Pos - lo) % 3
-		hi := h.Pos + a.query.Elements() + 3*opts.ContextResidues
+		hi := h.Pos + a.p.query.Elements() + 3*opts.ContextResidues
 		if hi > ref.Len() {
 			hi = ref.Len()
 		}
@@ -71,7 +71,7 @@ func (a *Aligner) AlignVerified(ref *Reference, opts VerifyOptions) ([]VerifiedH
 		if len(subject) == 0 {
 			continue
 		}
-		r := swalign.Align(a.query.protein, subject, scoring)
+		r := swalign.Align(a.p.query.protein, subject, scoring)
 		if r.Score < opts.MinSWScore {
 			continue
 		}
@@ -79,8 +79,8 @@ func (a *Aligner) AlignVerified(ref *Reference, opts VerifyOptions) ([]VerifiedH
 			Pos:      h.Pos,
 			Score:    h.Score,
 			SWScore:  r.Score,
-			Identity: r.Identity(a.query.protein, subject),
-			Pretty:   swalign.FormatAlignment(a.query.protein, subject, r, scoring, 60),
+			Identity: r.Identity(a.p.query.protein, subject),
+			Pretty:   swalign.FormatAlignment(a.p.query.protein, subject, r, scoring, 60),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -96,8 +96,8 @@ func (a *Aligner) AlignVerified(ref *Reference, opts VerifyOptions) ([]VerifiedH
 // of pos) covering the query's footprint — the subject protein a verified
 // hit aligns against.
 func (a *Aligner) TranslateWindow(ref *Reference, pos int) (string, error) {
-	if pos < 0 || pos+a.query.Elements() > ref.Len() {
+	if pos < 0 || pos+a.p.query.Elements() > ref.Len() {
 		return "", fmt.Errorf("fabp: window out of range")
 	}
-	return bio.NucSeq(ref.seq[pos : pos+a.query.Elements()]).Translate(0).String(), nil
+	return bio.NucSeq(ref.seq[pos : pos+a.p.query.Elements()]).Translate(0).String(), nil
 }
