@@ -102,7 +102,7 @@ func BenchmarkEngineAlign(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if hits := a.Align(ref); len(hits) == 0 {
+				if hits := mustAlign(b, a, ref); len(hits) == 0 {
 					b.Fatal("planted gene lost")
 				}
 			}
@@ -186,7 +186,7 @@ func BenchmarkBitParallelKernel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if hits := a.Align(ref); len(hits) == 0 {
+		if hits := mustAlign(b, a, ref); len(hits) == 0 {
 			b.Fatal("planted gene lost")
 		}
 	}
@@ -269,7 +269,7 @@ func BenchmarkDatabaseScan(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if hits := a.AlignDatabase(d); len(hits) == 0 {
+		if hits := mustAlignDatabase(b, a, d); len(hits) == 0 {
 			b.Fatal("planted gene lost")
 		}
 	}
@@ -285,7 +285,7 @@ func BenchmarkAlignStreamReader(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		err := a.AlignStream(strings.NewReader(stream), func(Hit) error { n++; return nil })
+		err := a.AlignStreamContext(context.Background(), strings.NewReader(stream), func(Hit) error { n++; return nil })
 		if err != nil || n == 0 {
 			b.Fatalf("stream scan failed: %v (%d hits)", err, n)
 		}

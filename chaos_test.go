@@ -77,8 +77,8 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 
 	// Fault-free oracles, one per path.
 	oracle := mustConformAligner(t, q, WithThresholdFraction(0.7), WithShardLen(2048))
-	wantHits := oracle.Align(ref)
-	wantRec := oracle.AlignDatabase(dbase)
+	wantHits := mustAlign(t, oracle, ref)
+	wantRec := mustAlignDatabase(t, oracle, dbase)
 	wantBatch, err := AlignBatch(queries, ref, 0.7)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 	sa := mustConformAligner(t, sq, WithThresholdFraction(0.7), WithRetryPolicy(chaosRetryPolicy))
 	streamAll := func() ([]Hit, error) {
 		var hits []Hit
-		err := sa.AlignStream(strings.NewReader(bigText), func(h Hit) error {
+		err := sa.AlignStreamContext(context.Background(), strings.NewReader(bigText), func(h Hit) error {
 			hits = append(hits, h)
 			return nil
 		})
@@ -147,7 +147,7 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 
 		// Path 3: ordered stream merge.
 		var streamed []RecordHit
-		if err := a.AlignDatabaseStream(dbase, func(h RecordHit) error {
+		if err := a.AlignDatabaseStreamContext(context.Background(), dbase, func(h RecordHit) error {
 			streamed = append(streamed, h)
 			return nil
 		}); err != nil {
@@ -225,7 +225,7 @@ func TestPartialResultsExactShardCoverage(t *testing.T) {
 	}
 	const shardLen = 2048
 	oracle := mustConformAligner(t, q, WithThresholdFraction(0.7), WithShardLen(shardLen))
-	want := oracle.Align(ref)
+	want := mustAlign(t, oracle, ref)
 	if len(want) == 0 {
 		t.Fatal("oracle found no hits; coverage check is vacuous")
 	}
@@ -234,7 +234,7 @@ func TestPartialResultsExactShardCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle1 := mustConformAligner(t, q1, WithThresholdFraction(0.7), WithShardLen(shardLen))
-	want1 := oracle1.Align(ref)
+	want1 := mustAlign(t, oracle1, ref)
 
 	faultinject.Enable(55, faultinject.Plan{
 		faultinject.SiteShardDispatch: {Prob: 0.3, Sticky: true, Fail: true},
@@ -371,8 +371,11 @@ func TestPartialResultsStreamCoverage(t *testing.T) {
 // scan with the shard range named — no silent hit loss — on every
 // nucleotide entry point. Rows that shard at the default length scan a
 // reference long enough for several shards, so the sticky selection
-// (keys 2, 3, 7, … at seed 55) reaches them. A last row arms the merge
-// hook instead: a one-shard scan must pass it and fail the same way.
+// (keys 2, 3, 7, … at seed 55) reaches them. The AlignVerified,
+// AlignBothStrands and Best rows fail every dispatch instead: the methods
+// built on a scan must return its error, not report no hits. A last row
+// arms the merge hook: a one-shard scan must pass it and fail the same
+// way.
 func TestChaosNonPartialShardFailureFailsScan(t *testing.T) {
 	ref, genes := SyntheticReference(31, 80_000, 4, 25)
 	q, err := NewQuery(genes[0].Protein)
@@ -397,10 +400,11 @@ func TestChaosNonPartialShardFailureFailsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	single := mustConformAligner(t, sq)
-	if hits := single.Align(small); len(hits) == 0 {
+	if hits := mustAlign(t, single, small); len(hits) == 0 {
 		t.Fatal("single-shard oracle found no hits; the merge-hook row is vacuous")
 	}
 	mergeFaults := faultinject.Plan{faultinject.SiteShardMerge: {Every: 1, Fail: true}}
+	dispatchFaults := faultinject.Plan{faultinject.SiteShardDispatch: {Every: 1, Fail: true}}
 
 	sticky := faultinject.Plan{
 		faultinject.SiteShardDispatch: {Prob: 0.3, Sticky: true, Fail: true},
@@ -451,6 +455,22 @@ func TestChaosNonPartialShardFailureFailsScan(t *testing.T) {
 		{"Session.RunContext", nil, func() (int, error) {
 			hits, _, err := sess.RunContext(ctx, q, 0.7)
 			return len(hits), err
+		}},
+		// The methods built on a scan report its failure, never "no hits".
+		{"AlignVerified", dispatchFaults, func() (int, error) {
+			hits, err := a.AlignVerified(ctx, ref, VerifyOptions{})
+			return len(hits), err
+		}},
+		{"AlignBothStrands", dispatchFaults, func() (int, error) {
+			hits, err := a.AlignBothStrands(ctx, ref)
+			return len(hits), err
+		}},
+		{"Best", dispatchFaults, func() (int, error) {
+			_, ok, err := a.Best(ctx, ref)
+			if ok {
+				return 1, err
+			}
+			return 0, err
 		}},
 		// A scan of one shard passes the merge hook like every other.
 		{"AlignContext single shard, merge hook", mergeFaults, func() (int, error) {
@@ -526,13 +546,13 @@ func TestChaosPlaneCacheEvictionStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := mustConformAligner(t, q, WithThresholdFraction(0.7), WithKernelType(KernelBitParallel))
-	want := a.Align(ref)
+	want := mustAlign(t, a, ref)
 
 	before := DefaultMetrics().Snapshot().Counters["cache.evictions"]
 	faultinject.Enable(3, faultinject.Plan{faultinject.SiteCacheEvict: {Every: 1, Fail: true}})
 	defer faultinject.Disable()
 	for i := 0; i < 3; i++ {
-		assertHitsEqual(t, "eviction-storm Align", want, a.Align(ref))
+		assertHitsEqual(t, "eviction-storm Align", want, mustAlign(t, a, ref))
 	}
 	faultinject.Disable()
 	after := DefaultMetrics().Snapshot().Counters["cache.evictions"]

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -188,7 +189,12 @@ func alignOne(id, prot string, ref *fabp.Reference, dbase *fabp.Database, opts a
 	}
 	// Scan through the database path: sharded across the worker pool, with
 	// the packed planes served from the shared cache.
-	hits := a.AlignDatabase(dbase)
+	ctx := context.Background()
+	hits, err := a.AlignDatabaseContext(ctx, dbase)
+	if err != nil {
+		log.Printf("query %s: %v", id, err)
+		return
+	}
 	fmt.Printf("\nquery %s (%d aa, %d elements, threshold %d/%d): %d hits\n",
 		id, q.Residues(), q.Elements(), a.Threshold(), q.MaxScore(), len(hits))
 	shown := 0
@@ -202,12 +208,17 @@ func alignOne(id, prot string, ref *fabp.Reference, dbase *fabp.Database, opts a
 		shown++
 	}
 	if len(hits) == 0 {
-		if best, ok := a.Best(ref); ok {
+		best, ok, err := a.Best(ctx, ref)
+		if err != nil {
+			log.Printf("query %s: %v", id, err)
+			return
+		}
+		if ok {
 			fmt.Printf("  best sub-threshold position: pos %d score %d/%d\n", best.Pos, best.Score, q.MaxScore())
 		}
 	}
 	if opts.tblastn {
-		hsps, err := fabp.SearchTBLASTN(q, ref, fabp.TBLASTNOptions{Threads: 4})
+		hsps, err := fabp.SearchProtein(q, ref, fabp.ProteinSearchOptions{Threads: 4})
 		if err != nil {
 			log.Printf("tblastn %s: %v", id, err)
 			return

@@ -108,7 +108,11 @@ func runPerf(outDir string, scale, batchN int, cacheOn bool) {
 
 	m := fabp.DefaultMetrics()
 	m.Reset()
-	aligners[0].AlignDatabase(dbase) // warm the plane cache outside the clock
+	ctx := context.Background()
+	// Warm the plane cache outside the clock.
+	if _, err := aligners[0].AlignDatabaseContext(ctx, dbase); err != nil {
+		log.Fatal(err)
+	}
 
 	report := perfReport{
 		Date:       time.Now().Format("2006-01-02"),
@@ -128,14 +132,18 @@ func runPerf(outDir string, scale, batchN int, cacheOn bool) {
 		{"align_database", nQueries * reps, func() int {
 			hits := 0
 			for _, a := range aligners {
-				hits += len(a.AlignDatabase(dbase))
+				rh, err := a.AlignDatabaseContext(ctx, dbase)
+				if err != nil {
+					log.Fatal(err)
+				}
+				hits += len(rh)
 			}
 			return hits
 		}},
 		{"align_database_stream", nQueries * reps, func() int {
 			hits := 0
 			for _, a := range aligners {
-				if err := a.AlignDatabaseStream(dbase, func(fabp.RecordHit) error {
+				if err := a.AlignDatabaseStreamContext(ctx, dbase, func(fabp.RecordHit) error {
 					hits++
 					return nil
 				}); err != nil {
@@ -151,7 +159,7 @@ func runPerf(outDir string, scale, batchN int, cacheOn bool) {
 		{"align_stream", nQueries * reps, func() int {
 			hits := 0
 			for _, a := range aligners {
-				if err := a.AlignStream(strings.NewReader(refStr), func(fabp.Hit) error {
+				if err := a.AlignStreamContext(ctx, strings.NewReader(refStr), func(fabp.Hit) error {
 					hits++
 					return nil
 				}); err != nil {
@@ -196,7 +204,7 @@ func runPerf(outDir string, scale, batchN int, cacheOn bool) {
 			benchCfg{"batch_per_query", batchN * reps, func() int {
 				hits := 0
 				for _, q := range batchQs {
-					res, err := fabp.Scan(context.Background(), fabp.ScanRequest{
+					res, err := fabp.Scan(ctx, fabp.ScanRequest{
 						Query: q, Reference: ref, ThresholdFrac: 0.85, NoCache: true})
 					if err != nil {
 						log.Fatal(err)
@@ -214,7 +222,7 @@ func runPerf(outDir string, scale, batchN int, cacheOn bool) {
 			benchCfg{"stream_batch_per_query", batchN * reps, func() int {
 				hits := 0
 				for _, a := range batchAligners {
-					if err := a.AlignStream(strings.NewReader(refStr), func(fabp.Hit) error {
+					if err := a.AlignStreamContext(ctx, strings.NewReader(refStr), func(fabp.Hit) error {
 						hits++
 						return nil
 					}); err != nil {

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -182,7 +183,10 @@ func cmdSearch(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hits := a.AlignDatabase(d)
+	hits, err := a.AlignDatabaseContext(context.Background(), d)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("query %d aa, threshold %d/%d: %d hits\n",
 		q.Residues(), a.Threshold(), q.MaxScore(), len(hits))
 	for i, h := range hits {

@@ -69,7 +69,10 @@ func TestAlignDatabaseContextCancelMidScan(t *testing.T) {
 		}
 		return a
 	}
-	golden := newAligner(nil).AlignDatabase(dbase)
+	golden, err := newAligner(nil).AlignDatabaseContext(context.Background(), dbase)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(golden) == 0 {
 		t.Fatal("planted gene not found")
 	}
@@ -147,7 +150,10 @@ func TestAlignDatabaseStreamContextCancelDuringEmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := a.AlignDatabase(dbase)
+	golden, err := a.AlignDatabaseContext(context.Background(), dbase)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(golden) < 2 {
 		t.Fatalf("want at least 2 hits to cancel between, got %d", len(golden))
 	}
@@ -234,8 +240,8 @@ func TestAlignStreamContextDeadlineSlowReader(t *testing.T) {
 }
 
 // TestAlignContextMatchesAlign proves AlignContext under a cancelable
-// context is bit-exact with Align under the background context for both
-// kernels (a cancelable-but-never-canceled context adds checkpoints and
+// context is bit-exact with AlignContext under the background context for
+// both kernels (a cancelable-but-never-canceled context adds checkpoints and
 // must change nothing else).
 func TestAlignContextMatchesAlign(t *testing.T) {
 	ref, genes := fabp.SyntheticReference(23, 150_000, 3, 30)
@@ -248,7 +254,10 @@ func TestAlignContextMatchesAlign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := a.Align(ref)
+		want, err := a.AlignContext(context.Background(), ref)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		got, err := a.AlignContext(ctx, ref)
 		cancel()

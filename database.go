@@ -7,16 +7,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"fabp/internal/bio"
 	"fabp/internal/bitpar"
 	"fabp/internal/core"
 	"fabp/internal/db"
 	"fabp/internal/experiments"
+	"fabp/internal/fpga"
 	"fabp/internal/host"
 	"fabp/internal/isa"
-	"fabp/internal/sched"
 )
 
 // Database is an indexed, 2-bit packed reference database — the DRAM image
@@ -264,23 +263,16 @@ func planesForReference(ref *Reference) *bitpar.Planes {
 	})
 }
 
-// AlignDatabase scans the whole database and attributes hits to records,
-// dropping windows that span record boundaries (concatenation artifacts).
-// The scan is tiled into shards executed on the aligner's worker pool and
-// is bit-exact with a serial scan. It is AlignDatabaseContext under
-// context.Background() — uncancellable, never errs.
-func (a *Aligner) AlignDatabase(d *Database) []RecordHit {
-	hits, _ := a.AlignDatabaseContext(context.Background(), d)
-	return hits
-}
-
-// AlignDatabaseContext is AlignDatabase under a context. Cancellation and
-// deadlines are honored at shard boundaries: undispatched shards are shed,
-// shards already executing finish, and the call returns ctx.Err() within
-// one shard of the cancel — recorded on align.canceled /
-// align.deadline.exceeded. The shared plane cache is untouched by an
-// abort (packing is atomic within the cache), so a later retry scans the
-// same resident planes.
+// AlignDatabaseContext scans the whole database under a context and
+// attributes hits to records, dropping windows that span record
+// boundaries (concatenation artifacts). The scan is tiled into shards
+// executed on the aligner's worker pool and is bit-exact with a serial
+// scan. Cancellation and deadlines are honored at shard boundaries:
+// undispatched shards are shed, shards already executing finish, and the
+// call returns ctx.Err() within one shard of the cancel — recorded on
+// align.canceled / align.deadline.exceeded. The shared plane cache is
+// untouched by an abort (packing is atomic within the cache), so a later
+// retry scans the same resident planes.
 //
 // When the scan-result cache is enabled (SetScanCacheCapacity), the call
 // shares the cache- and singleflight-aware spine with Scan: repeats are
@@ -295,41 +287,24 @@ func (a *Aligner) AlignDatabaseContext(ctx context.Context, d *Database) ([]Reco
 	return res.RecordHits, err
 }
 
-// AlignDatabaseStream scans the database shard by shard and delivers
-// attributed hits to emit in position order while holding only a bounded
-// number of shard results in memory — the way to scan a database whose hit
-// list would not fit (or should not wait) in one slice. Return an error
-// from emit to stop early.
-func (a *Aligner) AlignDatabaseStream(d *Database, emit func(RecordHit) error) error {
-	return a.AlignDatabaseStreamContext(context.Background(), d, emit)
-}
-
-// AlignDatabaseStreamContext is AlignDatabaseStream under a context.
-// Cancellation checkpoints sit at every stage of the pipeline — shard
-// dispatch, shard execution start, and the ordered merge before each
-// emit — so the call returns ctx.Err() within one shard of the cancel,
-// drains the in-flight shards it launched (no goroutine outlives the
-// call), and records the abort on align.canceled /
-// align.deadline.exceeded. Hits already emitted are valid: they are the
-// complete, position-ordered prefix of the full scan up to the last
-// merged shard.
+// AlignDatabaseStreamContext scans the database shard by shard under a
+// context and delivers attributed hits to emit in position order while
+// holding only a bounded number of shard results in memory — the way to
+// scan a database whose hit list would not fit (or should not wait) in
+// one slice. Return an error from emit to stop early. Cancellation
+// checkpoints sit at every stage of the pipeline — shard dispatch, shard
+// execution start, and the ordered merge before each emit — so the call
+// returns ctx.Err() within one shard of the cancel, drains the in-flight
+// shards it launched (no goroutine outlives the call), and records the
+// abort on align.canceled / align.deadline.exceeded. Hits already emitted
+// are valid: they are the complete, position-ordered prefix of the full
+// scan up to the last merged shard. Under partial mode a *PartialError
+// means every surviving shard's hits were emitted in order.
 func (a *Aligner) AlignDatabaseStreamContext(ctx context.Context, d *Database, emit func(RecordHit) error) error {
-	a.tm.queries.Inc()
-	t0 := time.Now()
-	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	if err := ctx.Err(); err != nil {
-		a.tm.recordCtxErr(err)
-		return err
-	}
 	p := a.p
 	p.database = d
-	scan, starts, _ := p.targetScan()
-	if scan == nil {
-		return nil
-	}
-	run := p.newShardRun(scan)
 	m := p.query.Elements()
-	run.emit = func(part [][]core.Hit) error {
+	_, err := p.execute(ctx, nil, func(part [][]core.Hit) error {
 		for _, h := range toRecordHits(d.d.Attribute(part[0], m)) {
 			a.tm.hits.Inc()
 			if err := emit(h); err != nil {
@@ -337,13 +312,7 @@ func (a *Aligner) AlignDatabaseStreamContext(ctx context.Context, d *Database, e
 			}
 		}
 		return nil
-	}
-	// A *PartialError means every surviving shard's hits were emitted in
-	// order; it reports the uncovered ranges the way the gather path does.
-	_, err := run.run(ctx, sched.Plan(starts, p.shardLen))
-	if err != nil {
-		a.tm.recordCtxErr(err)
-	}
+	})
 	return err
 }
 
@@ -361,43 +330,23 @@ func toRecordHits(attributed []db.RecordHit) []RecordHit {
 }
 
 // Session models the full deployment: an FPGA card holding the database
-// resident in its DRAM, with queries streamed against it. Results are real
-// (bit-exact engine); the timing decomposition follows the paper's
+// resident in its DRAM, with queries streamed against it. Hits come from
+// Scan of the database; the timing decomposition follows the paper's
 // end-to-end measurement protocol.
 type Session struct {
-	s *host.Session
-	d *Database
+	d        *Database
+	platform host.Platform
 }
 
 // NewSession creates a session on the paper's default platform (Kintex-7
-// card, PCIe Gen3 x8, 8 GB card DRAM) with the database loaded. Hit
-// computation runs the fused kernel on the sharded scan path with the
-// shared plane cache — K=1 for Run, the whole batch per reference tile
-// for RunBatch — so the database is packed once and reused across calls;
-// timing follows the paper's protocol unchanged.
+// card, PCIe Gen3 x8, 8 GB card DRAM) with the database loaded. It fails
+// if the packed database exceeds the card's DRAM.
 func NewSession(d *Database) (*Session, error) {
-	s := host.NewSession(host.DefaultPlatform())
-	if _, err := s.LoadDatabase(d.d.Seq()); err != nil {
+	p := host.DefaultPlatform()
+	if _, err := p.Load(d.Len()); err != nil {
 		return nil, err
 	}
-	s.SetAlignFunc(func(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
-		hits, err := sessionPlan(d, []isa.Program{prog}, []int{threshold}).execute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return hits[0], nil
-	})
-	s.SetBatchAlignFunc(func(ctx context.Context, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
-		return sessionPlan(d, progs, thresholds).execute(ctx)
-	})
-	return &Session{s: s, d: d}, nil
-}
-
-// sessionPlan is a Session's fused scan of its resident database, run
-// like a Queries request: the shared pool and collector, one attempt per
-// shard.
-func sessionPlan(d *Database, progs []isa.Program, thresholds []int) *scanPlan {
-	return &scanPlan{progs: progs, thresholds: thresholds, database: d, pool: sched.Shared(), tm: &defaultAlignerTM}
+	return &Session{d: d, platform: p}, nil
 }
 
 // QueryTiming decomposes one query's projected end-to-end time in seconds.
@@ -405,59 +354,58 @@ type QueryTiming struct {
 	Encode, QueryTransfer, Kernel, Readback, Total float64
 }
 
-// Run executes one query end-to-end and returns attributed hits plus the
-// timing decomposition. It is RunContext under context.Background().
-func (s *Session) Run(q *Query, thresholdFrac float64) ([]RecordHit, QueryTiming, error) {
-	return s.RunContext(context.Background(), q, thresholdFrac)
+// scan runs req against the resident database at thresholdFrac: the
+// request is validated as Scan validates it, then the accelerator build
+// for its queries must fit the card before any scanning starts.
+func (s *Session) scan(ctx context.Context, req ScanRequest, thresholdFrac float64) (*ScanResult, fpga.Estimate, error) {
+	req.Database = s.d
+	p, err := planAt(req, thresholdFrac)
+	if err != nil {
+		return nil, fpga.Estimate{}, err
+	}
+	elems := make([]int, len(p.progs))
+	for i, prog := range p.progs {
+		elems[i] = len(prog)
+	}
+	est, err := s.platform.Fit(elems...)
+	if err != nil {
+		return nil, fpga.Estimate{}, err
+	}
+	res, err := p.run(ctx)
+	return res, est, err
 }
 
-// RunContext is Run under a context: the resident-database scan honors
-// cancellation and deadlines at shard boundaries and returns ctx.Err()
-// without waiting for the remaining shards.
+// RunContext executes one query end-to-end under a context and returns
+// attributed hits plus the timing decomposition; the readback leg counts
+// the attributed hits. The resident-database scan honors cancellation and
+// deadlines at shard boundaries and returns ctx.Err() without waiting for
+// the remaining shards. The hits are the caller's own: the scan bypasses
+// the result cache.
 func (s *Session) RunContext(ctx context.Context, q *Query, thresholdFrac float64) ([]RecordHit, QueryTiming, error) {
-	threshold, err := core.ThresholdFromFraction(thresholdFrac, q.MaxScore())
-	if err != nil {
-		return nil, QueryTiming{}, badOption(err)
-	}
-	res, err := s.s.RunQueryContext(ctx, q.program, threshold)
+	res, est, err := s.scan(ctx, ScanRequest{Query: q, NoCache: true}, thresholdFrac)
 	if err != nil {
 		return nil, QueryTiming{}, err
 	}
-	t := res.Timing
-	return toRecordHits(s.d.d.Attribute(res.Hits, q.Elements())), QueryTiming{
-		Encode: t.EncodeSec, QueryTransfer: t.QueryTransferSec,
-		Kernel: t.KernelSec, Readback: t.ReadbackSec, Total: t.TotalSec,
-	}, nil
+	t := s.platform.Time(est, []int{q.Elements()}, []int{len(res.RecordHits)}, s.d.Len())
+	return res.RecordHits, QueryTiming(t), nil
 }
 
-// RunBatch executes many queries against the resident database in one
-// pass, returning per-query attributed hits and the projected end-to-end
-// batch seconds. It is RunBatchContext under context.Background().
-func (s *Session) RunBatch(queries []*Query, thresholdFrac float64) ([][]RecordHit, float64, error) {
-	return s.RunBatchContext(context.Background(), queries, thresholdFrac)
-}
-
-// RunBatchContext is RunBatch under a context: the fused scan checks
+// RunBatchContext executes many queries against the resident database in
+// one fused pass under a context, returning per-query attributed hits and
+// the projected end-to-end batch seconds. The fused scan checks
 // cancellation between shards for the whole batch at once, so an aborted
 // batch returns ctx.Err() without scanning the remaining shards.
 func (s *Session) RunBatchContext(ctx context.Context, queries []*Query, thresholdFrac float64) ([][]RecordHit, float64, error) {
-	progs, err := batchPrograms(queries)
+	res, est, err := s.scan(ctx, ScanRequest{Queries: queries}, thresholdFrac)
 	if err != nil {
 		return nil, 0, err
 	}
-	// The fraction is batch-wide: reject a bad one before any scanning.
-	if _, err := core.ThresholdFromFraction(thresholdFrac, 1); err != nil {
-		return nil, 0, badOption(err)
+	out := make([][]RecordHit, len(res.PerQuery))
+	elems, hits := make([]int, len(out)), make([]int, len(out))
+	for i, qr := range res.PerQuery {
+		out[i], elems[i], hits[i] = qr.RecordHits, queries[i].Elements(), len(qr.RecordHits)
 	}
-	res, err := s.s.RunBatchContext(ctx, progs, thresholdFrac)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([][]RecordHit, len(queries))
-	for i, hits := range res.PerQuery {
-		out[i] = toRecordHits(s.d.d.Attribute(hits, len(progs[i])))
-	}
-	return out, res.TotalSec, nil
+	return out, s.platform.Time(est, elems, hits, s.d.Len()).Total, nil
 }
 
 // batchPrograms validates every query of a batch up front — a batch either
@@ -479,15 +427,24 @@ func batchPrograms(queries []*Query) ([]isa.Program, error) {
 	return progs, nil
 }
 
-// scanBatch runs a batch wrapper's Scan at thresholdFrac. The wrappers
-// take the fraction explicitly, so zero — ScanRequest's 0.8 default — is
-// rejected like any other fraction outside (0,1].
-func scanBatch(req ScanRequest, thresholdFrac float64) (*ScanResult, error) {
+// planAt plans req at an explicit threshold fraction. The batch wrappers
+// and Session take the fraction as an argument, so zero — ScanRequest's
+// 0.8 default — is rejected like any other fraction outside (0,1].
+func planAt(req ScanRequest, thresholdFrac float64) (*scanPlan, error) {
 	if thresholdFrac == 0 {
 		return nil, badOptionf("fabp: threshold fraction 0 outside (0,1]")
 	}
 	req.ThresholdFrac = thresholdFrac
-	return Scan(context.Background(), req)
+	return req.plan()
+}
+
+// scanBatch runs a batch wrapper's request at thresholdFrac.
+func scanBatch(req ScanRequest, thresholdFrac float64) (*ScanResult, error) {
+	p, err := planAt(req, thresholdFrac)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(context.Background())
 }
 
 // perQueryHits unpacks a Queries scan's per-query results with pick.

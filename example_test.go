@@ -1,6 +1,7 @@
 package fabp_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -21,7 +22,7 @@ func ExampleNewQuery() {
 }
 
 // Align a query against a reference containing its exact gene.
-func ExampleAligner_Align() {
+func ExampleAligner_AlignContext() {
 	// AUG AAA UGG GAA = Met Lys Trp Glu planted at offset 6.
 	ref, err := fabp.NewReference("CCCCCCAUGAAAUGGGAACCCCCC")
 	if err != nil {
@@ -35,7 +36,11 @@ func ExampleAligner_Align() {
 	if err != nil {
 		panic(err)
 	}
-	for _, hit := range a.Align(ref) {
+	hits, err := a.AlignContext(context.Background(), ref)
+	if err != nil {
+		panic(err)
+	}
+	for _, hit := range hits {
 		fmt.Printf("pos %d score %d/%d\n", hit.Pos, hit.Score, q.MaxScore())
 	}
 	// Output:
@@ -66,7 +71,7 @@ func ExampleSmithWaterman() {
 }
 
 // Stream a large reference through the aligner in bounded memory.
-func ExampleAligner_AlignStream() {
+func ExampleAligner_AlignStreamContext() {
 	q, err := fabp.NewQuery("MKWE")
 	if err != nil {
 		panic(err)
@@ -76,7 +81,7 @@ func ExampleAligner_AlignStream() {
 		panic(err)
 	}
 	stream := strings.NewReader("ccccccATGAAATGGGAAcccccc") // DNA, mixed case
-	err = a.AlignStream(stream, func(h fabp.Hit) error {
+	err = a.AlignStreamContext(context.Background(), stream, func(h fabp.Hit) error {
 		fmt.Printf("pos %d score %d\n", h.Pos, h.Score)
 		return nil
 	})

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,6 +24,8 @@ func main() {
 	// Candidate coding regions (sanity statistics a host would log).
 	orfs := fabp.FindORFs(ref, 60)
 	fmt.Printf("ORFs >= 60 residues in 6 frames: %d\n\n", len(orfs))
+
+	ctx := context.Background()
 
 	// Card session: database transfers to FPGA DRAM once.
 	sess, err := fabp.NewSession(db)
@@ -55,7 +58,7 @@ func main() {
 
 	// End-to-end single query with the timing decomposition the paper
 	// measures.
-	hits, timing, err := sess.Run(q0, float64(thr)/float64(q0.MaxScore()))
+	hits, timing, err := sess.RunContext(ctx, q0, float64(thr)/float64(q0.MaxScore()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +70,7 @@ func main() {
 	fmt.Printf("  total     %8.1f µs\n\n", timing.Total*1e6)
 
 	// Batched queries amortize the resident database.
-	perQuery, totalSec, err := sess.RunBatch(queries, 0.8)
+	perQuery, totalSec, err := sess.RunBatchContext(ctx, queries, 0.8)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,7 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	verified, err := a.AlignVerified(ref, fabp.VerifyOptions{MaxHits: 3})
+	verified, err := a.AlignVerified(ctx, ref, fabp.VerifyOptions{MaxHits: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -50,8 +51,11 @@ func main() {
 		}
 
 		start := time.Now()
-		hits := aligner.Align(ref)
+		hits, err := aligner.AlignContext(context.Background(), ref)
 		fabpTime += time.Since(start)
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		fabpHit := false
 		for _, h := range hits {
@@ -65,7 +69,7 @@ func main() {
 		}
 
 		start = time.Now()
-		hsps, err := fabp.SearchTBLASTN(query, ref, fabp.TBLASTNOptions{Threads: 4, ForwardOnly: true})
+		hsps, err := fabp.SearchProtein(query, ref, fabp.ProteinSearchOptions{Threads: 4, Frames: 3})
 		tblastnTime += time.Since(start)
 		if err != nil {
 			log.Fatal(err)

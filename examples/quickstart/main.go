@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, hit := range aligner.Align(ref) {
+	hits, err := aligner.AlignContext(context.Background(), ref)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, hit := range hits {
 		fmt.Printf("hit: position %d, score %d/%d\n", hit.Pos, hit.Score, query.MaxScore())
 	}
 

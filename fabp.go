@@ -11,8 +11,9 @@
 //
 // The package offers four layers:
 //
-//   - Query/Reference/Aligner: a fast, bit-exact software implementation of
-//     the accelerator for real alignments (NewQuery, NewAligner, Align).
+//   - Query/Reference/Scan: a fast, bit-exact software implementation of
+//     the accelerator for real alignments (NewQuery, then Scan, or
+//     NewAligner and its context-taking methods such as AlignContext).
 //   - Hardware generation: GenerateVerilog emits the accelerator datapath
 //     as structural Verilog (LUT6/FDRE primitives), and SizeOnDevice
 //     projects resource utilization, timing and energy for the modeled
@@ -434,13 +435,6 @@ func (a *Aligner) Kernel() Kernel { return a.p.kernel }
 // Threshold returns the configured hit threshold.
 func (a *Aligner) Threshold() int { return a.p.thresholds[0] }
 
-// Align scans the reference and returns every hit in position order. It
-// is AlignContext under context.Background() — uncancellable, never errs.
-func (a *Aligner) Align(ref *Reference) []Hit {
-	hits, _ := a.AlignContext(context.Background(), ref)
-	return hits
-}
-
 // AlignContext scans the reference under a context and returns every hit
 // in position order. The scan runs on the shard scheduler, which checks
 // cancellation and deadlines between shards (running shards finish), so
@@ -469,20 +463,16 @@ func publicHits(raw []core.Hit) []Hit {
 	return hits
 }
 
-// AlignStream scans a nucleotide stream of arbitrary size (raw letters,
-// whitespace tolerated) in bounded memory, carrying windows across chunk
-// boundaries, and delivers hits to emit in position order. Return an error
-// from emit to stop early.
+// AlignStreamContext scans a nucleotide stream of arbitrary size (raw
+// letters, whitespace tolerated) in bounded memory, carrying windows
+// across chunk boundaries, and delivers hits to emit in position order.
+// Return an error from emit to stop early.
 //
 // Each chunk is packed into bit-planes once and scanned by the fused
 // kernel at K=1, sharded like a database scan. KernelScalar — the
 // in-memory oracle — is rejected with ErrBadOption.
-func (a *Aligner) AlignStream(r io.Reader, emit func(Hit) error) error {
-	return a.AlignStreamContext(context.Background(), r, emit)
-}
-
-// AlignStreamContext is AlignStream with cooperative cancellation: the
-// context is checked before every chunk read, so a slow or unbounded
+//
+// The context is checked before every chunk read, so a slow or unbounded
 // reader cannot pin the scan past its deadline — the call returns
 // ctx.Err() at the next chunk boundary (a Read already blocked in the
 // reader is not interrupted; wrap the reader if its source needs
@@ -511,28 +501,11 @@ func (a *Aligner) EValueOf(score, refLen int) float64 {
 // shard's hits.
 const bestPiece = 1 << 12
 
-// Best returns the single highest-scoring position regardless of the
-// threshold, ties going to the lower position (ok=false when the
-// reference is shorter than the query, or the scan fails). It is a
-// threshold-0 scan on the aligner's kernel and shard executor, each shard
-// max-reduced in place, and is instrumented like every other scan
-// (align.queries.started, align.latency, kernel counters).
-func (a *Aligner) Best(ref *Reference) (Hit, bool) {
-	a.tm.queries.Inc()
-	t0 := time.Now()
-	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	// z is this aligner's plan recompiled at threshold 0: same kernel
-	// selection, pool, shard length and telemetry.
-	z := a.p
-	z.thresholds, z.bk, z.engine, z.reference = []int{0}, nil, nil, ref
-	if err := z.compile(); err != nil {
-		return Hit{}, false
-	}
-	scan, starts, _ := z.targetScan()
-	if scan == nil {
-		return Hit{}, false
-	}
-	bests, err := z.newShardRun(func(lo, hi int, _ [][]core.Hit) [][]core.Hit {
+// bestPerShard wraps a single-query shard scan into one that returns only
+// the shard's highest-scoring hit (the lowest position on a tie), scanning
+// bestPiece window starts at a time.
+func bestPerShard(scan shardScan) shardScan {
+	return func(lo, hi int, _ [][]core.Hit) [][]core.Hit {
 		best := core.Hit{Score: -1}
 		var piece [][]core.Hit
 		for p := lo; p < hi; p += bestPiece {
@@ -547,9 +520,27 @@ func (a *Aligner) Best(ref *Reference) (Hit, bool) {
 			}
 		}
 		return [][]core.Hit{{best}}
-	}).run(context.Background(), sched.Plan(starts, z.shardLen))
-	if err != nil || len(bests[0]) == 0 {
-		return Hit{}, false
+	}
+}
+
+// Best returns the single highest-scoring position regardless of the
+// threshold, ties going to the lower position (ok=false when the
+// reference is shorter than the query). A failed or canceled scan
+// returns its error. It is a threshold-0 scan on the aligner's kernel and
+// shard executor, each shard max-reduced in place, and is instrumented
+// like every other scan (align.queries.started, align.latency, kernel
+// counters).
+func (a *Aligner) Best(ctx context.Context, ref *Reference) (Hit, bool, error) {
+	// z is this aligner's plan recompiled at threshold 0: same kernel
+	// selection, pool, shard length and telemetry.
+	z := a.p
+	z.thresholds, z.bk, z.engine, z.reference = []int{0}, nil, nil, ref
+	bests, err := z.execute(ctx, bestPerShard, nil)
+	if err != nil {
+		return Hit{}, false, err
+	}
+	if len(bests[0]) == 0 { // the reference is shorter than the query
+		return Hit{}, false, nil
 	}
 	best := bests[0][0]
 	for _, h := range bests[0][1:] {
@@ -557,7 +548,7 @@ func (a *Aligner) Best(ref *Reference) (Hit, bool) {
 			best = h
 		}
 	}
-	return Hit(best), true
+	return Hit(best), true, nil
 }
 
 // ScoreAt returns the alignment score at one reference position,

@@ -1,6 +1,7 @@
 package fabp
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -101,7 +102,7 @@ func TestEndToEndPlantedGene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := a.Align(ref)
+	hits := mustAlign(t, a, ref)
 	found := false
 	for _, h := range hits {
 		if h.Pos == g.Pos {
@@ -111,8 +112,9 @@ func TestEndToEndPlantedGene(t *testing.T) {
 	if !found {
 		t.Errorf("planted gene at %d not found among %d hits", g.Pos, len(hits))
 	}
-	best, ok := a.Best(ref)
-	if !ok || best.Pos != g.Pos {
+	ctx := context.Background()
+	best, ok, err := a.Best(ctx, ref)
+	if err != nil || !ok || best.Pos != g.Pos {
 		t.Errorf("best hit %+v, want pos %d", best, g.Pos)
 	}
 	// Best is a threshold-0 max-reduce on the scan kernel: under every
@@ -137,12 +139,12 @@ func TestEndToEndPlantedGene(t *testing.T) {
 		}
 		for _, r := range []*Reference{ref, tie, short} {
 			want, wantOK := oracle.BestHit(r.seq)
-			got, ok := ka.Best(r)
-			if ok != wantOK || (ok && got != Hit(want)) {
+			got, ok, err := ka.Best(ctx, r)
+			if err != nil || ok != wantOK || (ok && got != Hit(want)) {
 				t.Errorf("%v Best over %d nt = %+v/%v, engine BestHit %+v/%v", kernel, r.Len(), got, ok, want, wantOK)
 			}
 		}
-		if got, _ := ka.Best(tie); got.Pos != 0 {
+		if got, _, _ := ka.Best(ctx, tie); got.Pos != 0 {
 			t.Errorf("%v: tie resolved to %d, want the lower position 0", kernel, got.Pos)
 		}
 	}
@@ -177,7 +179,7 @@ func TestSuggestThresholdFacade(t *testing.T) {
 	}
 	a, _ := NewAligner(qq, WithThreshold(thr2))
 	found := false
-	for _, h := range a.Align(ref) {
+	for _, h := range mustAlign(t, a, ref) {
 		if h.Pos == genes[0].Pos {
 			found = true
 		}
@@ -221,7 +223,7 @@ func TestKernelSelectionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results = append(results, a.Align(ref))
+		results = append(results, mustAlign(t, a, ref))
 	}
 	if _, err := ParseKernel("gpu"); err == nil {
 		t.Error("unknown kernel name must fail")
@@ -449,7 +451,7 @@ func TestComparePlatforms(t *testing.T) {
 func TestSearchTBLASTNFacade(t *testing.T) {
 	ref, genes := SyntheticReference(11, 30_000, 3, 50)
 	q, _ := NewQuery(genes[0].Protein)
-	hsps, err := SearchTBLASTN(q, ref, TBLASTNOptions{Threads: 2})
+	hsps, err := SearchProtein(q, ref, ProteinSearchOptions{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,28 @@ func mustConformAligner(t *testing.T, q *Query, opts ...AlignerOption) *Aligner 
 	return a
 }
 
+// mustAlign is AlignContext under a background context, failing the test
+// on a scan error.
+func mustAlign(tb testing.TB, a *Aligner, ref *Reference) []Hit {
+	tb.Helper()
+	hits, err := a.AlignContext(context.Background(), ref)
+	if err != nil {
+		tb.Fatalf("AlignContext: %v", err)
+	}
+	return hits
+}
+
+// mustAlignDatabase is AlignDatabaseContext under a background context,
+// failing the test on a scan error.
+func mustAlignDatabase(tb testing.TB, a *Aligner, d *Database) []RecordHit {
+	tb.Helper()
+	hits, err := a.AlignDatabaseContext(context.Background(), d)
+	if err != nil {
+		tb.Fatalf("AlignDatabaseContext: %v", err)
+	}
+	return hits
+}
+
 func assertHitsEqual(t *testing.T, label string, want, got []Hit) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -66,7 +88,7 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 	want := engineHits(t, q, ref, thr)
 	for _, kernel := range []Kernel{KernelScalar, KernelBitParallel, KernelAuto} {
 		a := mustConformAligner(t, q, WithKernelType(kernel), WithThreshold(thr))
-		assertHitsEqual(t, "Align/"+kernel.String(), want, a.Align(ref))
+		assertHitsEqual(t, "Align/"+kernel.String(), want, mustAlign(t, a, ref))
 	}
 
 	// Sharded database scans: small shards so even short references tile
@@ -78,7 +100,7 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 	for _, kernel := range []Kernel{KernelScalar, KernelBitParallel} {
 		a := mustConformAligner(t, q, WithKernelType(kernel), WithThreshold(thr),
 			WithShardLen(64), WithParallelism(2))
-		rh := a.AlignDatabase(dbase)
+		rh := mustAlignDatabase(t, a, dbase)
 		got := make([]Hit, len(rh))
 		for i, h := range rh {
 			got[i] = Hit{Pos: h.Offset, Score: h.Score}
@@ -106,7 +128,7 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 			for _, text := range []string{refStr, lower.String()} {
 				a := mustConformAligner(t, q, WithKernelType(kernel), WithThreshold(thr))
 				var got []Hit
-				err := a.AlignStream(strings.NewReader(text), func(h Hit) error {
+				err := a.AlignStreamContext(context.Background(), strings.NewReader(text), func(h Hit) error {
 					got = append(got, h)
 					return nil
 				})

@@ -5,6 +5,7 @@ package fabp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -53,7 +54,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perQuery, totalSec, err := sess.RunBatch(queries, 0.75)
+	perQuery, totalSec, err := sess.RunBatchContext(context.Background(), queries, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verified, err := a.AlignVerified(ref, VerifyOptions{MaxHits: 5})
+	verified, err := a.AlignVerified(context.Background(), ref, VerifyOptions{MaxHits: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	}
 
 	// 6. TBLASTN agrees on the locus.
-	hsps, err := SearchTBLASTN(queries[0], ref, TBLASTNOptions{ForwardOnly: true})
+	hsps, err := SearchProtein(queries[0], ref, ProteinSearchOptions{Frames: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +127,8 @@ func TestIntegrationHardwareSoftwareAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := scalar.Align(ref)
-	if got := bitp.Align(ref); len(got) != len(want) {
+	want := mustAlign(t, scalar, ref)
+	if got := mustAlign(t, bitp, ref); len(got) != len(want) {
 		t.Fatalf("bitparallel %d hits vs scalar %d", len(got), len(want))
 	}
 
@@ -144,7 +145,7 @@ func TestIntegrationHardwareSoftwareAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subWant := scalar.Align(sub)
+	subWant := mustAlign(t, scalar, sub)
 
 	var mod strings.Builder
 	if _, _, err := GenerateVerilog(&mod, VerilogConfig{
@@ -159,7 +160,7 @@ func TestIntegrationHardwareSoftwareAgreement(t *testing.T) {
 	// The hardware paths are proven equivalent in internal/core tests; here
 	// just confirm the end-to-end facade flows stay consistent on the same
 	// sub-reference.
-	if got := bitp.Align(sub); len(got) != len(subWant) {
+	if got := mustAlign(t, bitp, sub); len(got) != len(subWant) {
 		t.Error("facade kernels disagree on the sub-reference")
 	}
 }

@@ -3,18 +3,16 @@
 // FPGA DRAM, invokes the RTL kernel, and reads hit records back. The paper
 // measures *end-to-end* time — "reading both query and reference sequences
 // from the FPGA DRAM, aligning the sequences, and writing the results" —
-// so this package accounts every leg, while executing the alignment itself
-// functionally (bit-exact core.Engine) so results are real.
+// so this package accounts every leg. It does not run the alignment: its
+// functions take query element counts, the database length and hit counts
+// from a scan run elsewhere (fabp.Session runs Scan) and return the DRAM
+// capacity check, the build's fit check and the projected timing.
 package host
 
 import (
-	"context"
 	"fmt"
 
-	"fabp/internal/bio"
-	"fabp/internal/core"
 	"fabp/internal/fpga"
-	"fabp/internal/isa"
 )
 
 // PCIe models the host↔FPGA link.
@@ -73,247 +71,81 @@ type TransferStats struct {
 	Seconds float64
 }
 
-// EndToEnd decomposes one query's measured protocol legs.
-type EndToEnd struct {
-	// EncodeSec is host-side back-translation + encoding.
-	EncodeSec float64
-	// QueryTransferSec ships the encoded query to card DRAM.
-	QueryTransferSec float64
-	// KernelSec is the accelerator scan (from the fpga timing model).
-	KernelSec float64
-	// ReadbackSec returns the hit records.
-	ReadbackSec float64
-	// TotalSec sums every leg plus the kernel-invocation overhead.
-	TotalSec float64
-}
+// PackedBytes is the card-DRAM footprint of an n-nucleotide database
+// packed 2 bits per base into 64-bit words.
+func PackedBytes(n int) int64 { return int64((n+31)/32) * 8 }
 
-// QueryResult is the outcome of one end-to-end query.
-type QueryResult struct {
-	// Hits are the real alignment results (bit-exact engine).
-	Hits []core.Hit
-	// Sizing is the accelerator build used.
-	Sizing fpga.Estimate
-	// Timing decomposes the projected end-to-end time.
-	Timing EndToEnd
-}
-
-// Session owns a card with a resident database, mirroring the paper's
-// protocol: the database transfers once, then queries stream against it.
-type Session struct {
-	platform Platform
-	packed   *bio.PackedNucSeq
-	ref      bio.NucSeq
-	loadCost TransferStats
-	alignFn  AlignFunc
-	batchFn  BatchAlignFunc
-}
-
-// AlignFunc computes one encoded query's hits against the resident
-// database at an absolute threshold. Installing one (SetAlignFunc) lets
-// the facade substitute its sharded, plane-cached scan for the session's
-// built-in scalar engine; results must stay bit-exact, and only the hit
-// computation is replaced — the timing protocol is unchanged. The
-// function must honor the context's cancellation (return ctx.Err()
-// promptly); the built-in engine checks it before scanning.
-type AlignFunc func(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error)
-
-// SetAlignFunc installs the hit-computation hook (nil restores the
-// built-in engine).
-func (s *Session) SetAlignFunc(f AlignFunc) { s.alignFn = f }
-
-// BatchAlignFunc computes a whole batch's hits against the resident
-// database in one fused pass — every reference tile is scanned once for
-// all queries instead of once per query. Thresholds are absolute
-// per-query scores, index-aligned with progs; the result has one hit
-// list per query, bit-exact with running AlignFunc per query. Like
-// AlignFunc, only the hit computation is replaced — the timing protocol
-// is unchanged — and the function must honor cancellation.
-type BatchAlignFunc func(ctx context.Context, progs []isa.Program, thresholds []int) ([][]core.Hit, error)
-
-// SetBatchAlignFunc installs the fused batch hook (nil falls back to a
-// per-query loop over the AlignFunc or the built-in scalar engine).
-func (s *Session) SetBatchAlignFunc(f BatchAlignFunc) { s.batchFn = f }
-
-// NewSession prepares an empty card.
-func NewSession(p Platform) *Session { return &Session{platform: p} }
-
-// Platform returns the session's hardware description.
-func (s *Session) Platform() Platform { return s.platform }
-
-// LoadDatabase packs the reference 2-bit and ships it to card DRAM,
-// replacing any previous content. It fails if the packed database exceeds
-// the card's DRAM.
-func (s *Session) LoadDatabase(ref bio.NucSeq) (TransferStats, error) {
-	if len(ref) == 0 {
+// Load is the database's one-time transfer into card DRAM: it fails for
+// an empty database or one whose packed form exceeds the card's DRAM.
+func (p Platform) Load(n int) (TransferStats, error) {
+	if n <= 0 {
 		return TransferStats{}, fmt.Errorf("host: empty database")
 	}
-	packed := bio.Pack(ref)
-	bytes := int64(len(packed.Words()) * 8)
-	if bytes > s.platform.DRAMBytes {
+	bytes := PackedBytes(n)
+	if bytes > p.DRAMBytes {
 		return TransferStats{}, fmt.Errorf("host: database needs %d bytes, card DRAM holds %d",
-			bytes, s.platform.DRAMBytes)
+			bytes, p.DRAMBytes)
 	}
-	s.packed = packed
-	s.ref = ref
-	s.loadCost = TransferStats{Bytes: bytes, Seconds: s.platform.Link.TransferSec(bytes)}
-	return s.loadCost, nil
+	return TransferStats{Bytes: bytes, Seconds: p.Link.TransferSec(bytes)}, nil
 }
 
-// DatabaseLen returns the resident database length in nucleotides (0 if
-// none).
-func (s *Session) DatabaseLen() int { return len(s.ref) }
-
-// LoadCost returns the one-time database transfer stats.
-func (s *Session) LoadCost() TransferStats { return s.loadCost }
-
-// align computes one query's hits: the installed AlignFunc, or the
-// built-in scalar engine.
-func (s *Session) align(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
-	if s.alignFn != nil {
-		return s.alignFn(ctx, prog, threshold)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	engine, err := core.NewEngine(prog, threshold)
-	if err != nil {
-		return nil, err
-	}
-	return engine.Align(s.ref), nil
-}
-
-// RunQuery executes one encoded query end-to-end: size the build, scan the
-// resident database (bit-exact), and account every protocol leg.
-func (s *Session) RunQuery(prog isa.Program, threshold int) (*QueryResult, error) {
-	return s.RunQueryContext(context.Background(), prog, threshold)
-}
-
-// RunQueryContext is RunQuery under a context: the scan aborts with
-// ctx.Err() on cancellation or deadline (through the installed AlignFunc's
-// shard checkpoints, or before the built-in engine's scan starts).
-func (s *Session) RunQueryContext(ctx context.Context, prog isa.Program, threshold int) (*QueryResult, error) {
-	if s.packed == nil {
-		return nil, fmt.Errorf("host: no database loaded")
-	}
-	est := fpga.Size(s.platform.Device, fpga.Config{QueryElems: len(prog)})
-	if !est.Fits {
-		return nil, fmt.Errorf("host: query of %d elements does not fit %s",
-			len(prog), s.platform.Device.Name)
-	}
-	hits, err := s.align(ctx, prog, threshold)
-	if err != nil {
-		return nil, err
-	}
-
-	kernel := fpga.Time(est, len(s.ref), nil)
-	encode := float64(len(prog)) * s.platform.EncodeNsPerElement * 1e-9
-	queryXfer := s.platform.Link.TransferSec(int64(len(prog))) // 1 byte/instr
-	readback := s.platform.Link.TransferSec(int64(len(hits) * s.platform.HitRecordBytes))
-	timing := EndToEnd{
-		EncodeSec:        encode,
-		QueryTransferSec: queryXfer,
-		KernelSec:        kernel.Seconds,
-		ReadbackSec:      readback,
-	}
-	timing.TotalSec = encode + queryXfer + kernel.Seconds + readback + s.platform.InvokeOverheadSec
-	return &QueryResult{Hits: hits, Sizing: est, Timing: timing}, nil
-}
-
-// BatchResult aggregates a multi-query run.
-type BatchResult struct {
-	// PerQuery holds each query's hits.
-	PerQuery [][]core.Hit
-	// TotalSec is the end-to-end batch time: one database load amortized
-	// across all kernels and readbacks.
-	TotalSec float64
-	// KernelSec is the accelerator-only component.
-	KernelSec float64
-}
-
-// RunBatch executes many queries against the resident database,
-// reproducing the paper's measurement protocol (database resident, queries
-// streamed). All queries must share one length class so a single bitstream
-// sizing applies; mixed lengths size per the longest.
-func (s *Session) RunBatch(progs []isa.Program, thresholdFrac float64) (*BatchResult, error) {
-	return s.RunBatchContext(context.Background(), progs, thresholdFrac)
-}
-
-// RunBatchContext is RunBatch under a context: cancellation is checked
-// between queries (and within each query's scan when an AlignFunc with
-// shard checkpoints is installed), so an aborted batch returns ctx.Err()
-// without scanning the remaining queries.
-func (s *Session) RunBatchContext(ctx context.Context, progs []isa.Program, thresholdFrac float64) (*BatchResult, error) {
-	if s.packed == nil {
-		return nil, fmt.Errorf("host: no database loaded")
-	}
-	if len(progs) == 0 {
-		return nil, fmt.Errorf("host: empty batch")
+// Fit sizes one accelerator build for queries of the given element
+// counts — the longest sets the build, so a batch of mixed lengths sizes
+// per its longest — and fails for no queries or a build that does not
+// fit the device.
+func (p Platform) Fit(elems ...int) (fpga.Estimate, error) {
+	if len(elems) == 0 {
+		return fpga.Estimate{}, fmt.Errorf("host: empty batch")
 	}
 	maxElems := 0
-	for _, p := range progs {
-		if len(p) > maxElems {
-			maxElems = len(p)
-		}
+	for _, n := range elems {
+		maxElems = max(maxElems, n)
 	}
-	est := fpga.Size(s.platform.Device, fpga.Config{QueryElems: maxElems})
+	est := fpga.Size(p.Device, fpga.Config{QueryElems: maxElems})
 	if !est.Fits {
-		return nil, fmt.Errorf("host: batch sizing (%d elements) does not fit %s",
-			maxElems, s.platform.Device.Name)
+		return fpga.Estimate{}, fmt.Errorf("host: query sizing (%d elements) does not fit %s",
+			maxElems, p.Device.Name)
 	}
-	var perQuery [][]core.Hit
-	if s.batchFn != nil {
-		// The fused path: one reference pass for the whole batch. Resolve
-		// every query's absolute threshold first so a bad fraction fails
-		// before any scanning starts (matching the per-query loop).
-		thresholds := make([]int, len(progs))
-		for i, p := range progs {
-			threshold, err := core.ThresholdFromFraction(thresholdFrac, len(p))
-			if err != nil {
-				return nil, err
-			}
-			thresholds[i] = threshold
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var err error
-		if perQuery, err = s.batchFn(ctx, progs, thresholds); err != nil {
-			return nil, err
-		}
-	} else {
-		perQuery = make([][]core.Hit, len(progs))
-		for i, p := range progs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			threshold, err := core.ThresholdFromFraction(thresholdFrac, len(p))
-			if err != nil {
-				return nil, err
-			}
-			hits, err := s.align(ctx, p, threshold)
-			if err != nil {
-				return nil, err
-			}
-			perQuery[i] = hits
-		}
-	}
+	return est, nil
+}
 
-	kernelOne := fpga.Time(est, len(s.ref), nil).Seconds
-	var total float64
+// EndToEnd decomposes a run's projected end-to-end time in seconds.
+type EndToEnd struct {
+	// Encode is host-side back-translation + encoding.
+	Encode float64
+	// QueryTransfer ships the encoded queries to card DRAM.
+	QueryTransfer float64
+	// Kernel is the accelerator scan (from the fpga timing model).
+	Kernel float64
+	// Readback returns the hit records.
+	Readback float64
+	// Total sums every leg plus the kernel-invocation overheads.
+	Total float64
+}
+
+// Time accounts a run of queries against the resident database on the
+// build est (see Fit), the paper's measurement protocol (database
+// resident, queries streamed): query i has elems[i] elements and reads
+// back hits[i] records, each query is encoded, shipped and run as one
+// kernel invocation over the dbLen-nucleotide database, and the hit
+// records return in one transfer. A one-query run is the single-query
+// protocol.
+func (p Platform) Time(est fpga.Estimate, elems, hits []int, dbLen int) EndToEnd {
+	var t EndToEnd
 	var hitBytes int64
-	for i, hits := range perQuery {
-		total += float64(len(progs[i])) * s.platform.EncodeNsPerElement * 1e-9
-		total += s.platform.Link.TransferSec(int64(len(progs[i])))
-		hitBytes += int64(len(hits) * s.platform.HitRecordBytes)
+	for i, n := range elems {
+		encode := float64(n) * p.EncodeNsPerElement * 1e-9
+		queryXfer := p.Link.TransferSec(int64(n)) // 1 byte/instr
+		t.Encode += encode
+		t.QueryTransfer += queryXfer
+		t.Total += encode
+		t.Total += queryXfer
+		hitBytes += int64(hits[i] * p.HitRecordBytes)
 	}
-	kernelTotal := kernelOne * float64(len(progs))
-	total += kernelTotal
-	total += s.platform.Link.TransferSec(hitBytes)
-	total += s.platform.InvokeOverheadSec * float64(len(progs))
-
-	return &BatchResult{
-		PerQuery:  perQuery,
-		TotalSec:  total,
-		KernelSec: kernelTotal,
-	}, nil
+	t.Kernel = fpga.Time(est, dbLen, nil).Seconds * float64(len(elems))
+	t.Readback = p.Link.TransferSec(hitBytes)
+	t.Total += t.Kernel
+	t.Total += t.Readback
+	t.Total += p.InvokeOverheadSec * float64(len(elems))
+	return t
 }

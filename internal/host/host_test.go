@@ -1,16 +1,11 @@
 package host
 
 import (
-	"context"
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"fabp/internal/bio"
-	"fabp/internal/core"
 	"fabp/internal/fpga"
-	"fabp/internal/isa"
 )
 
 func TestPCIeTransfer(t *testing.T) {
@@ -29,84 +24,55 @@ func TestPCIeTransfer(t *testing.T) {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	s := NewSession(DefaultPlatform())
-	if s.DatabaseLen() != 0 {
-		t.Error("fresh session must be empty")
-	}
-	prog := isa.MustEncodeProtein(bio.ProtSeq{bio.Met, bio.Lys})
-	if _, err := s.RunQuery(prog, 3); err == nil {
-		t.Error("query before load must fail")
-	}
-	if _, err := s.RunBatch([]isa.Program{prog}, 0.8); err == nil {
-		t.Error("batch before load must fail")
-	}
-	if _, err := s.LoadDatabase(nil); err == nil {
+	p := DefaultPlatform()
+	if _, err := p.Load(0); err == nil {
 		t.Error("empty database must fail")
 	}
-
-	rng := rand.New(rand.NewSource(1))
-	ref := bio.RandomNucSeq(rng, 100_000)
-	stats, err := s.LoadDatabase(ref)
+	stats, err := p.Load(100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Bytes != int64((100_000+31)/32*8) {
 		t.Errorf("packed bytes %d", stats.Bytes)
 	}
-	if stats.Seconds <= 0 || s.LoadCost() != stats {
+	if stats.Seconds <= 0 || stats.Seconds != p.Link.TransferSec(stats.Bytes) {
 		t.Error("load cost bookkeeping")
-	}
-	if s.DatabaseLen() != 100_000 {
-		t.Error("database length")
 	}
 }
 
 func TestSessionCapacity(t *testing.T) {
 	p := DefaultPlatform()
 	p.DRAMBytes = 1024
-	s := NewSession(p)
-	if _, err := s.LoadDatabase(make(bio.NucSeq, 100_000)); err == nil {
+	if _, err := p.Load(100_000); err == nil {
 		t.Error("oversized database must fail")
+	}
+	// The capacity formula is the 2-bit packed database's byte count.
+	for _, n := range []int{1, 31, 32, 33, 100_000} {
+		want := int64(len(bio.Pack(make(bio.NucSeq, n)).Words()) * 8)
+		if got := PackedBytes(n); got != want {
+			t.Errorf("PackedBytes(%d) = %d, bio.Pack holds %d bytes", n, got, want)
+		}
 	}
 }
 
 func TestRunQueryEndToEnd(t *testing.T) {
-	s := NewSession(DefaultPlatform())
-	rng := rand.New(rand.NewSource(2))
-	ref, genes := bio.SyntheticReference(rng, 80_000, 3, 50)
-	if _, err := s.LoadDatabase(ref); err != nil {
-		t.Fatal(err)
-	}
-	g := genes[1]
-	prog := isa.MustEncodeProtein(g.Protein)
-	threshold := len(prog) * 9 / 10
-	res, err := s.RunQuery(prog, threshold)
+	p := DefaultPlatform()
+	const elems, dbLen, hits = 150, 80_000, 7
+	est, err := p.Fit(elems)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Real hits: must match a direct engine run.
-	e, _ := core.NewEngine(prog, threshold)
-	if !reflect.DeepEqual(res.Hits, e.Align(ref)) {
-		t.Error("session hits differ from engine")
-	}
-	found := false
-	for _, h := range res.Hits {
-		if h.Pos == g.Pos {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("planted gene not recovered through the session")
-	}
 	// Timing decomposition must add up.
-	tm := res.Timing
-	sum := tm.EncodeSec + tm.QueryTransferSec + tm.KernelSec + tm.ReadbackSec +
-		s.platform.InvokeOverheadSec
-	if math.Abs(sum-tm.TotalSec) > 1e-12 {
-		t.Errorf("timing legs %.3e != total %.3e", sum, tm.TotalSec)
+	tm := p.Time(est, []int{elems}, []int{hits}, dbLen)
+	sum := tm.Encode + tm.QueryTransfer + tm.Kernel + tm.Readback + p.InvokeOverheadSec
+	if math.Abs(sum-tm.Total) > 1e-12 {
+		t.Errorf("timing legs %.3e != total %.3e", sum, tm.Total)
 	}
-	if tm.KernelSec <= 0 || !res.Sizing.Fits {
+	if tm.Kernel <= 0 || !est.Fits {
 		t.Error("kernel timing/sizing missing")
+	}
+	if want := p.Link.TransferSec(hits * int64(p.HitRecordBytes)); tm.Readback != want {
+		t.Errorf("readback %.3e, want %.3e for %d hit records", tm.Readback, want, hits)
 	}
 }
 
@@ -114,134 +80,40 @@ func TestRunQueryOversized(t *testing.T) {
 	p := DefaultPlatform()
 	p.Device = fpga.Artix7()
 	p.Device.LUTs = 5000
-	s := NewSession(p)
-	ref := make(bio.NucSeq, 10_000)
-	if _, err := s.LoadDatabase(ref); err != nil {
-		t.Fatal(err)
-	}
-	prog := isa.MustEncodeProtein(make(bio.ProtSeq, 500))
-	if _, err := s.RunQuery(prog, 10); err == nil {
+	elems := 3 * 500
+	if _, err := p.Fit(elems); err == nil {
 		t.Error("non-fitting query must fail")
 	}
-	if _, err := s.RunBatch([]isa.Program{prog}, 0.5); err == nil {
+	if _, err := p.Fit(90, elems); err == nil {
 		t.Error("non-fitting batch must fail")
 	}
 }
 
-// TestRunBatchPrefersBatchAlignFunc: an installed BatchAlignFunc replaces
-// the per-query loop (one call, resolved thresholds), its results flow
-// into PerQuery unchanged, and clearing it falls back to the AlignFunc
-// loop.
-func TestRunBatchPrefersBatchAlignFunc(t *testing.T) {
-	s := NewSession(DefaultPlatform())
-	rng := rand.New(rand.NewSource(4))
-	ref, genes := bio.SyntheticReference(rng, 40_000, 3, 30)
-	if _, err := s.LoadDatabase(ref); err != nil {
-		t.Fatal(err)
-	}
-	var progs []isa.Program
-	for _, g := range genes {
-		progs = append(progs, isa.MustEncodeProtein(g.Protein))
-	}
-
-	batchCalls, loopCalls := 0, 0
-	s.SetAlignFunc(func(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
-		loopCalls++
-		e, err := core.NewEngine(prog, threshold)
-		if err != nil {
-			return nil, err
-		}
-		return e.Align(ref), nil
-	})
-	s.SetBatchAlignFunc(func(ctx context.Context, bprogs []isa.Program, thresholds []int) ([][]core.Hit, error) {
-		batchCalls++
-		if len(bprogs) != len(progs) || len(thresholds) != len(progs) {
-			t.Errorf("batch hook got %d progs / %d thresholds", len(bprogs), len(thresholds))
-		}
-		for i, p := range bprogs {
-			want, err := core.ThresholdFromFraction(0.9, len(p))
-			if err != nil || thresholds[i] != want {
-				t.Errorf("threshold[%d] = %d, want %d", i, thresholds[i], want)
-			}
-		}
-		out := make([][]core.Hit, len(bprogs))
-		for i, p := range bprogs {
-			e, err := core.NewEngine(p, thresholds[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = e.Align(ref)
-		}
-		return out, nil
-	})
-
-	res, err := s.RunBatch(progs, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batchCalls != 1 || loopCalls != 0 {
-		t.Errorf("batch hook called %d times, per-query loop %d times", batchCalls, loopCalls)
-	}
-	for i, g := range genes {
-		found := false
-		for _, h := range res.PerQuery[i] {
-			if h.Pos == g.Pos {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("batch query %d missed its gene", i)
-		}
-	}
-
-	// Bad threshold fractions fail before the hook runs.
-	if _, err := s.RunBatch(progs, 1.5); err == nil || batchCalls != 1 {
-		t.Errorf("bad fraction: err=%v batchCalls=%d", err, batchCalls)
-	}
-
-	// Clearing the batch hook falls back to the per-query loop.
-	s.SetBatchAlignFunc(nil)
-	if _, err := s.RunBatch(progs, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if loopCalls != len(progs) {
-		t.Errorf("fallback loop ran %d times, want %d", loopCalls, len(progs))
-	}
-}
-
 func TestRunBatchAmortization(t *testing.T) {
-	s := NewSession(DefaultPlatform())
-	rng := rand.New(rand.NewSource(3))
-	ref, genes := bio.SyntheticReference(rng, 60_000, 4, 40)
-	if _, err := s.LoadDatabase(ref); err != nil {
-		t.Fatal(err)
-	}
-	var progs []isa.Program
-	for _, g := range genes {
-		progs = append(progs, isa.MustEncodeProtein(g.Protein))
-	}
-	res, err := s.RunBatch(progs, 0.9)
+	p := DefaultPlatform()
+	elems, hits := []int{120, 120, 120, 120}, []int{3, 0, 5, 1}
+	est, err := p.Fit(elems...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerQuery) != len(progs) {
-		t.Fatal("per-query results missing")
-	}
-	for i, g := range genes {
-		found := false
-		for _, h := range res.PerQuery[i] {
-			if h.Pos == g.Pos {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("batch query %d missed its gene", i)
-		}
-	}
-	if res.KernelSec <= 0 || res.TotalSec <= res.KernelSec {
+	res := p.Time(est, elems, hits, 60_000)
+	if res.Kernel <= 0 || res.Total <= res.Kernel {
 		t.Errorf("batch timing implausible: %+v", res)
 	}
-	if _, err := s.RunBatch(nil, 0.9); err == nil {
+	sum := res.Encode + res.QueryTransfer + res.Kernel + res.Readback + p.InvokeOverheadSec*float64(len(elems))
+	if math.Abs(sum-res.Total) > 1e-12 {
+		t.Errorf("batch timing legs %.3e != total %.3e", sum, res.Total)
+	}
+	// The batch's hit records return in one transfer, so it pays one
+	// readback latency where K single runs pay one each.
+	var single float64
+	for i := range elems {
+		single += p.Time(est, elems[i:i+1], hits[i:i+1], 60_000).Total
+	}
+	if res.Total >= single {
+		t.Errorf("batch %.3es not amortized below %d single runs (%.3es)", res.Total, len(elems), single)
+	}
+	if _, err := p.Fit(); err == nil {
 		t.Error("empty batch must fail")
 	}
 }

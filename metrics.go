@@ -18,7 +18,7 @@ import (
 //
 // Counter names (see README "Observability" for the full catalogue):
 //
-//	align.queries.started    scans begun (Align/AlignStream/AlignDatabase*)
+//	align.queries.started    scans begun (Scan and the Aligner methods)
 //	align.hits.emitted       hits returned or streamed to emit
 //	align.kernel.scalar      scans dispatched to the scalar engine
 //	align.kernel.bitparallel scans dispatched to the bit-parallel kernel
@@ -27,7 +27,7 @@ import (
 //	scan.shards.planned      shards the scheduler tiled
 //	scan.shards.run          shards that executed (== planned when quiet)
 //	scan.plane.lookups       packed-plane cache lookups issued by scans
-//	stream.chunks.processed  chunks (beats) scanned by AlignStream / AlignBatchStream
+//	stream.chunks.processed  chunks (beats) scanned by AlignStreamContext / AlignBatchStream
 //	stream.carry.restarts    chunk-boundary carries of the streaming scan
 //	stream.planes.packed_words plane words packed by the streaming packer
 //	batch.queries            queries scanned through the fused batch path
@@ -243,7 +243,7 @@ func (tm *alignerMetrics) recordCtxErr(err error) {
 func observeSince(h *telemetry.Histogram, t0 time.Time) { h.Observe(time.Since(t0)) }
 
 // defaultAlignerTM instruments the scans without a per-aligner collector:
-// Scan requests and Session's align hooks.
+// Scan requests, the batch wrappers and Session.
 var defaultAlignerTM = newAlignerMetrics(telemetry.Default())
 
 // Warm-start accounting: how LoadDatabase calls resolved. A "reused" load

@@ -164,20 +164,21 @@ func TestScanProteinCache(t *testing.T) {
 	}
 }
 
-// TestSearchTBLASTNDelegates pins the legacy facade onto the spine: same
-// results as SearchProtein with the mapped options.
+// TestSearchTBLASTNDelegates pins the SearchProtein facade onto the
+// spine: same results as a ProteinSearch Scan with the same options.
 func TestSearchTBLASTNDelegates(t *testing.T) {
 	q, ref := proteinFixture(t, 34, 20_000)
-	legacy, err := SearchTBLASTN(q, ref, TBLASTNOptions{Threads: 2, ForwardOnly: true, TwoHit: true})
+	opts := ProteinSearchOptions{Threads: 2, Frames: 3, TwoHit: true}
+	facade, err := SearchProtein(q, ref, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := SearchProtein(q, ref, ProteinSearchOptions{Threads: 2, Frames: 3, TwoHit: true})
+	direct, err := Scan(context.Background(), ScanRequest{Query: q, Reference: ref, ProteinSearch: &opts, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy, direct) {
-		t.Fatalf("legacy facade diverges: %d vs %d HSPs", len(legacy), len(direct))
+	if !reflect.DeepEqual(facade, direct.HSPs) {
+		t.Fatalf("facade diverges: %d vs %d HSPs", len(facade), len(direct.HSPs))
 	}
 }
 

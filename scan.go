@@ -16,8 +16,8 @@ import (
 
 // This file is the front door: Scan validates a ScanRequest into a
 // scanPlan, and every nucleotide scan — Scan itself, the Aligner methods,
-// the batch and stream wrappers and Session's align hooks — runs from a
-// plan on shardRun. It is also the single place the content-addressed
+// the batch and stream wrappers and Session — runs from a plan on
+// shardRun. It is also the single place the content-addressed
 // scan-result cache hooks in. A single-query scan's outcome is a pure
 // function of (query instruction digest, target content digest,
 // threshold, resolved kernel, shard geometry), which is exactly the cache
@@ -316,10 +316,9 @@ func scanThroughCache(ctx context.Context, key scanKey, cold func(context.Contex
 
 // scanPlan is one scan resolved to what the executor needs: programs and
 // thresholds, the target, and where and how it runs — pool, telemetry,
-// retry policy, partial mode and shard length. Scan builds one from a
-// validated ScanRequest; an Aligner holds one with its target unset and
-// copies it per call (with its own pool and metrics); Session's align
-// hooks build one per call.
+// retry policy, partial mode and shard length. Scan (and Session) builds
+// one from a validated ScanRequest; an Aligner holds one with its target
+// unset and copies it per call (with its own pool and metrics).
 type scanPlan struct {
 	// query is a single-query plan's query: its digest keys the result
 	// cache and its protein drives protein search. Nil for the Queries
@@ -612,11 +611,14 @@ func (p *scanPlan) targetScan() (scan shardScan, starts int, planeBytes int64) {
 }
 
 // execute runs the plan's in-memory scan on shardRun and returns every
-// query's raw hits: one fused pass per tile for all queries. A partial
-// plan's degraded completion returns the survivors' hits beside a
-// *PartialError; any other failure — recorded on the cancel/deadline
-// counters — returns no hits. Cancellation is checked between shards.
-func (p *scanPlan) execute(ctx context.Context) ([][]core.Hit, error) {
+// query's raw hits: one fused pass per tile for all queries. With reduce
+// set, each shard runs reduce(scan) instead of the target's scan; with
+// emit set, each shard's hits reach emit in shard order and nothing is
+// gathered. A partial plan's degraded completion returns the survivors'
+// hits beside a *PartialError; any other failure — recorded on the
+// cancel/deadline counters — returns no hits. Cancellation is checked
+// between shards.
+func (p *scanPlan) execute(ctx context.Context, reduce func(shardScan) shardScan, emit func(part [][]core.Hit) error) ([][]core.Hit, error) {
 	tm, k := p.tm, len(p.progs)
 	tm.queries.Add(uint64(k))
 	if p.query == nil {
@@ -634,9 +636,14 @@ func (p *scanPlan) execute(ctx context.Context) ([][]core.Hit, error) {
 	if scan == nil {
 		return make([][]core.Hit, k), nil
 	}
+	if reduce != nil {
+		scan = reduce(scan)
+	}
 	shards := sched.Plan(starts, p.shardLen)
 	t0 := time.Now()
-	hits, err := p.newShardRun(scan).run(ctx, shards)
+	run := p.newShardRun(scan)
+	run.emit = emit
+	hits, err := run.run(ctx, shards)
 	if _, partial := asPartial(err); err != nil && !partial {
 		tm.recordCtxErr(err)
 		return nil, err
@@ -650,7 +657,7 @@ func (p *scanPlan) execute(ctx context.Context) ([][]core.Hit, error) {
 // gather runs the plan's in-memory scan and shapes the result: position
 // hits for a Reference, record-attributed hits for a Database.
 func (p *scanPlan) gather(ctx context.Context) (*ScanResult, error) {
-	raw, err := p.execute(ctx)
+	raw, err := p.execute(ctx, nil, nil)
 	pe, partial := asPartial(err)
 	if err != nil && !partial {
 		return nil, err

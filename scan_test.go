@@ -130,8 +130,8 @@ func TestScanMatchesLegacy(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("len %d %v", n, kernel)
-			assertHitsEqual(t, label+" Align", oracle.Hits, a.Align(ref))
-			assertRecordHitsEqual(t, label+" AlignDatabase", oracleDB.RecordHits, a.AlignDatabase(db))
+			assertHitsEqual(t, label+" Align", oracle.Hits, mustAlign(t, a, ref))
+			assertRecordHitsEqual(t, label+" AlignDatabase", oracleDB.RecordHits, mustAlignDatabase(t, a, db))
 
 			for _, cancelable := range []bool{false, true} {
 				ctx := context.Background()

@@ -1,6 +1,7 @@
 package fabp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -78,7 +79,7 @@ func TestShardedAlignDatabaseGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			serial := toRecordHits(d.d.Attribute(e.Align(d.d.Seq()), q.Elements()))
-			sharded := a.AlignDatabase(d)
+			sharded := mustAlignDatabase(t, a, d)
 			sameRecordHits(t, tc.name, serial, sharded)
 			found := false
 			for _, h := range sharded {
@@ -105,9 +106,9 @@ func TestAlignDatabaseStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := a.AlignDatabase(d)
+	want := mustAlignDatabase(t, a, d)
 	var got []RecordHit
-	if err := a.AlignDatabaseStream(d, func(h RecordHit) error {
+	if err := a.AlignDatabaseStreamContext(context.Background(), d, func(h RecordHit) error {
 		got = append(got, h)
 		return nil
 	}); err != nil {
@@ -120,7 +121,7 @@ func TestAlignDatabaseStream(t *testing.T) {
 
 	stop := errors.New("enough")
 	n := 0
-	err = a.AlignDatabaseStream(d, func(RecordHit) error {
+	err = a.AlignDatabaseStreamContext(context.Background(), d, func(RecordHit) error {
 		n++
 		if n == 1 {
 			return stop
@@ -154,12 +155,12 @@ func TestAlignStreamHonorsKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := a.Align(ref)
+		want := mustAlign(t, a, ref)
 		if len(want) == 0 {
 			t.Fatal("no hits; test is vacuous")
 		}
 		var got []Hit
-		err = a.AlignStream(strings.NewReader(ref.String()), func(h Hit) error {
+		err = a.AlignStreamContext(context.Background(), strings.NewReader(ref.String()), func(h Hit) error {
 			got = append(got, h)
 			return nil
 		})
@@ -226,7 +227,7 @@ func TestAlignBatchShardedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := a.Align(ref)
+	single := mustAlign(t, a, ref)
 	if len(single) != len(sharded[0]) {
 		t.Fatalf("single-query: %d hits vs batch %d", len(single), len(sharded[0]))
 	}
@@ -255,7 +256,7 @@ func TestBatchValidationNamesEveryBadQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.RunBatch(queries, 0.8); err == nil ||
+	if _, _, err := s.RunBatchContext(context.Background(), queries, 0.8); err == nil ||
 		!strings.Contains(err.Error(), "1") || !strings.Contains(err.Error(), "3") {
 		t.Errorf("session batch must name indices 1 and 3: %v", err)
 	}
@@ -321,7 +322,7 @@ func TestSessionReusesCachedPlanes(t *testing.T) {
 	}
 	s0 := bitpar.SharedPlanes().Stats()
 	for round := 0; round < 3; round++ {
-		perQuery, _, err := s.RunBatch(queries, 0.9)
+		perQuery, _, err := s.RunBatchContext(context.Background(), queries, 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}

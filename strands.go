@@ -1,6 +1,7 @@
 package fabp
 
 import (
+	"context"
 	"sort"
 
 	"fabp/internal/bio"
@@ -32,15 +33,22 @@ type StrandHit struct {
 // full TBLASTN-style search space (a protein-coding gene can sit on either
 // strand; the paper's FabP scans one strand per pass, so a deployment runs
 // two passes, doubling scan time). Hits come back in forward-coordinate
-// order.
-func (a *Aligner) AlignBothStrands(ref *Reference) []StrandHit {
+// order; a failed or canceled scan of either strand returns its error.
+func (a *Aligner) AlignBothStrands(ctx context.Context, ref *Reference) ([]StrandHit, error) {
+	fwd, err := a.AlignContext(ctx, ref)
+	if err != nil {
+		return nil, err
+	}
+	rev, err := a.AlignContext(ctx, &Reference{seq: bio.NucSeq(ref.seq).ReverseComplement()})
+	if err != nil {
+		return nil, err
+	}
 	var out []StrandHit
-	for _, h := range a.Align(ref) {
+	for _, h := range fwd {
 		out = append(out, StrandHit{Pos: h.Pos, Score: h.Score, Strand: StrandForward})
 	}
-	rc := &Reference{seq: bio.NucSeq(ref.seq).ReverseComplement()}
 	m := a.p.query.Elements()
-	for _, h := range a.Align(rc) {
+	for _, h := range rev {
 		// Window [h.Pos, h.Pos+m) on the reverse complement maps to
 		// forward positions [len-h.Pos-m, len-h.Pos).
 		out = append(out, StrandHit{
@@ -55,5 +63,5 @@ func (a *Aligner) AlignBothStrands(ref *Reference) []StrandHit {
 		}
 		return out[i].Strand < out[j].Strand
 	})
-	return out
+	return out, nil
 }

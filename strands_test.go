@@ -1,6 +1,9 @@
 package fabp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestAlignBothStrands(t *testing.T) {
 	// Plant the same gene forward at one locus and reverse-complemented at
@@ -26,7 +29,10 @@ func TestAlignBothStrands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := a.AlignBothStrands(ref2)
+	hits, err := a.AlignBothStrands(context.Background(), ref2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var fwd, rev bool
 	for _, h := range hits {
 		if h.Strand == StrandForward && h.Pos == g.Pos {
@@ -49,7 +55,7 @@ func TestAlignBothStrands(t *testing.T) {
 		}
 	}
 	// Forward-only scan must miss the reverse copy.
-	plain := a.Align(ref2)
+	plain := mustAlign(t, a, ref2)
 	for _, h := range plain {
 		if h.Pos == rcPos {
 			t.Error("forward scan should not see the reverse copy")

@@ -61,13 +61,13 @@ func TestAlignStreamReaderErrorFlushesCompleteWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := a.Align(prefix)
+		want := mustAlign(t, a, prefix)
 		if len(want) == 0 {
 			t.Fatal("no hits in prefix; test is vacuous")
 		}
 
 		var got []Hit
-		streamErr := a.AlignStream(
+		streamErr := a.AlignStreamContext(context.Background(),
 			&faultReader{data: ref.String()[:cut], err: sentinel},
 			func(h Hit) error { got = append(got, h); return nil })
 		if !errors.Is(streamErr, sentinel) {
@@ -114,7 +114,7 @@ func TestChaosStreamInjectedErrorFlushesCompleteWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := a.Align(prefix)
+	want := mustAlign(t, a, prefix)
 	if len(want) == 0 {
 		t.Fatal("no hits in prefix; test is vacuous")
 	}
@@ -122,7 +122,7 @@ func TestChaosStreamInjectedErrorFlushesCompleteWindows(t *testing.T) {
 	faultinject.Enable(1, faultinject.Plan{faultinject.SiteStreamRead: {Nth: 5, Fail: true}})
 	defer faultinject.Disable()
 	var got []Hit
-	streamErr := a.AlignStream(strings.NewReader(ref.String()),
+	streamErr := a.AlignStreamContext(context.Background(), strings.NewReader(ref.String()),
 		func(h Hit) error { got = append(got, h); return nil })
 	if !errors.Is(streamErr, faultinject.ErrInjected) {
 		t.Fatalf("error %v does not wrap the injected fault", streamErr)
@@ -158,7 +158,7 @@ func TestChaosStreamReadRetryRecoversFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := a.Align(ref)
+	want := mustAlign(t, a, ref)
 	if len(want) == 0 {
 		t.Fatal("no hits; test is vacuous")
 	}
@@ -167,7 +167,7 @@ func TestChaosStreamReadRetryRecoversFullScan(t *testing.T) {
 	faultinject.Enable(1, faultinject.Plan{faultinject.SiteStreamRead: {Nth: 5, Fail: true}})
 	defer faultinject.Disable()
 	var got []Hit
-	if err := a.AlignStream(strings.NewReader(ref.String()),
+	if err := a.AlignStreamContext(context.Background(), strings.NewReader(ref.String()),
 		func(h Hit) error { got = append(got, h); return nil }); err != nil {
 		t.Fatalf("retried stream failed: %v", err)
 	}
@@ -226,14 +226,14 @@ func TestAlignStreamPooledPlanesNoAliasing(t *testing.T) {
 				errs[s] = err
 				return
 			}
-			want := oracle.Align(ref)
+			want := mustAlign(t, oracle, ref)
 			if len(want) == 0 {
 				errs[s] = fmt.Errorf("stream %d: no hits; test is vacuous", s)
 				return
 			}
 			for round := 0; round < 4; round++ {
 				var got []Hit
-				if err := a.AlignStream(strings.NewReader(ref.String()),
+				if err := a.AlignStreamContext(context.Background(), strings.NewReader(ref.String()),
 					func(h Hit) error { got = append(got, h); return nil }); err != nil {
 					errs[s] = err
 					return
@@ -287,7 +287,7 @@ func TestAlignStreamSteadyStateZeroChunkAllocs(t *testing.T) {
 	scanWith := func(chunk int) float64 {
 		streamChunkLetters = chunk
 		run := func() {
-			if err := a.AlignStream(strings.NewReader(refStr), func(h Hit) error {
+			if err := a.AlignStreamContext(context.Background(), strings.NewReader(refStr), func(h Hit) error {
 				t.Errorf("unexpected hit %+v", h)
 				return nil
 			}); err != nil {
@@ -413,7 +413,7 @@ func TestAlignStreamReaderErrorEmitErrorWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	emitErr := errors.New("consumer full")
-	streamErr := a.AlignStream(
+	streamErr := a.AlignStreamContext(context.Background(),
 		&faultReader{data: ref.String(), err: errors.New("read failed")},
 		func(Hit) error { return emitErr })
 	if !errors.Is(streamErr, emitErr) {

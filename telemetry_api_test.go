@@ -1,6 +1,7 @@
 package fabp
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func TestWithTelemetryPrivateCollector(t *testing.T) {
 	}
 
 	d0 := DefaultMetrics().Snapshot()
-	hits := a.AlignDatabase(dbase)
+	hits := mustAlignDatabase(t, a, dbase)
 	if len(hits) == 0 {
 		t.Fatal("planted gene not found")
 	}
@@ -146,7 +147,7 @@ func TestStreamChunkCarryCounters(t *testing.T) {
 	streamChunkLetters = q.Elements() + 2
 
 	var hits int
-	if err := a.AlignStream(strings.NewReader(ref.String()), func(Hit) error {
+	if err := a.AlignStreamContext(context.Background(), strings.NewReader(ref.String()), func(Hit) error {
 		hits++
 		return nil
 	}); err != nil {

@@ -1,6 +1,7 @@
 package fabp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -39,15 +40,19 @@ type VerifyOptions struct {
 
 // AlignVerified scans the reference with the FabP engine and verifies each
 // hit with gapped Smith-Waterman on the translated window, returning
-// verified hits ordered by SW score.
-func (a *Aligner) AlignVerified(ref *Reference, opts VerifyOptions) ([]VerifiedHit, error) {
+// verified hits ordered by SW score. A failed or canceled scan returns its
+// error.
+func (a *Aligner) AlignVerified(ctx context.Context, ref *Reference, opts VerifyOptions) ([]VerifiedHit, error) {
 	if opts.ContextResidues == 0 {
 		opts.ContextResidues = 10
 	}
-	raw := a.Align(ref)
+	raw, err := a.AlignContext(ctx, ref)
+	if err != nil {
+		return nil, err
+	}
 	if opts.MaxHits > 0 && len(raw) > opts.MaxHits {
-		// Keep the best-scoring hits, sorting a copy: Align may return a
-		// cached result, which is shared and read-only.
+		// Keep the best-scoring hits, sorting a copy: AlignContext may
+		// return a cached result, which is shared and read-only.
 		raw = append([]Hit(nil), raw...)
 		sort.Slice(raw, func(i, j int) bool { return raw[i].Score > raw[j].Score })
 		raw = raw[:opts.MaxHits]

@@ -1,6 +1,7 @@
 package fabp
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ func TestAlignVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := a.AlignVerified(ref, VerifyOptions{})
+	hits, err := a.AlignVerified(context.Background(), ref, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,18 +52,18 @@ func TestAlignVerifiedOptions(t *testing.T) {
 	ref, genes := SyntheticReference(62, 40_000, 2, 40)
 	q, _ := NewQuery(genes[0].Protein)
 	a, _ := NewAligner(q, WithThreshold(q.MaxScore()/2)) // permissive: many hits
-	all, err := a.AlignVerified(ref, VerifyOptions{})
+	all, err := a.AlignVerified(context.Background(), ref, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := a.AlignVerified(ref, VerifyOptions{MaxHits: 3})
+	capped, err := a.AlignVerified(context.Background(), ref, VerifyOptions{MaxHits: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(capped) > 3 {
 		t.Errorf("MaxHits ignored: %d", len(capped))
 	}
-	strict, err := a.AlignVerified(ref, VerifyOptions{MinSWScore: 100})
+	strict, err := a.AlignVerified(context.Background(), ref, VerifyOptions{MinSWScore: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestAlignVerifiedRescuesIndelQuery(t *testing.T) {
 	q, _ := NewQuery(withIndel)
 	// Permissive FabP threshold (the prefilter role).
 	a, _ := NewAligner(q, WithThresholdFraction(0.4))
-	hits, err := a.AlignVerified(ref, VerifyOptions{MaxHits: 50, ContextResidues: 20})
+	hits, err := a.AlignVerified(context.Background(), ref, VerifyOptions{MaxHits: 50, ContextResidues: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

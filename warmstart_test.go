@@ -148,8 +148,8 @@ func TestLoadDatabaseCorruptPlaneFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := a.AlignDatabase(d)
-	got := a.AlignDatabase(d2)
+	want := mustAlignDatabase(t, a, d)
+	got := mustAlignDatabase(t, a, d2)
 	if len(want) == 0 || len(got) != len(want) {
 		t.Fatalf("degraded load scans %d hits, original %d", len(got), len(want))
 	}
